@@ -15,7 +15,7 @@ from .errors import DegenerateChordError, DomainError, NumericalError
 from .norms import (TWO_PI, NormSpec, UnitPoint, as_unit_point,
                     birkhoff_successor, natural_param, perp_points,
                     unit_points, _require_smooth)
-from .solve1d import MAX_BISECT_ITERS, illinois_root
+from .solve1d import bisect_predicate, illinois_root
 
 ANTIPODAL_GUARD = 1e-9
 
@@ -94,9 +94,10 @@ def _poly_chord_min(normals, ux, uy, dx, dy):
 def chord_min(spec: NormSpec, u, v) -> ChordReport:
     """Minimum of t -> ||(1-t)u + t*v|| over [0, 1] with its minimizer interval.
 
-    The interval endpoints are located by bisecting the signs of the exact
-    one-sided derivatives, so flat minima of polygonal gauges are resolved
-    to solver precision rather than smeared by value comparisons.
+    Polygonal gauges are minimized exactly as an upper envelope of facet
+    functionals, so their flat minima are resolved rather than smeared by
+    value comparisons; for smooth gauges the interval endpoints are located
+    by bisecting the signs of the one-sided derivatives.
     """
     up, vp = _as_two_points(spec, u, v)
     ux, uy = up.coords
@@ -122,30 +123,14 @@ def chord_min(spec: NormSpec, u, v) -> ChordReport:
     if dp(0.0) >= 0.0:
         lo = 0.0
     else:
-        a, b = 0.0, 1.0
-        for _ in range(MAX_BISECT_ITERS):
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break
-            if dp(mid) >= 0.0:
-                b = mid
-            else:
-                a = mid
+        a, b = bisect_predicate(lambda t: dp(t) < 0.0, 0.0, 1.0)
         lo = 0.5 * (a + b)
 
     # argmin_hi = sup{t : D-(t) <= 0}
     if dm(1.0) <= 0.0:
         hi = 1.0
     else:
-        a, b = max(0.0, lo - 1e-12), 1.0
-        for _ in range(MAX_BISECT_ITERS):
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break
-            if dm(mid) <= 0.0:
-                a = mid
-            else:
-                b = mid
+        a, b = bisect_predicate(lambda t: dm(t) <= 0.0, max(0.0, lo - 1e-12), 1.0)
         hi = 0.5 * (a + b)
 
     if hi < lo:
@@ -156,84 +141,6 @@ def chord_min(spec: NormSpec, u, v) -> ChordReport:
     return ChordReport(up, vp, min_value, lo, hi, mid_norm)
 
 
-def _chord_min_value(spec: NormSpec, ux, uy, vx, vy) -> float:
-    """Minimum gauge value along the segment, without the interval bookkeeping."""
-    dx, dy = vx - ux, vy - uy
-    normals = getattr(spec, "normals", None)
-    if normals is not None:
-        return _poly_chord_min(normals, ux, uy, dx, dy)[0]
-    dplus = spec.dplus
-
-    def dp(t):
-        return dplus(ux + t * dx, uy + t * dy, dx, dy)
-
-    d0 = dp(0.0)
-    if d0 >= 0.0:
-        return spec.value(ux, uy)
-    d1 = spec.dminus(vx, vy, dx, dy)
-    if d1 <= 0.0:
-        return spec.value(vx, vy)
-    t = illinois_root(dp, 0.0, 1.0, d0, d1)
-    return spec.value(ux + t * dx, uy + t * dy)
-
-
-def _chord_supports_at_least(spec: NormSpec, ux, uy, vx, vy, rho: float) -> bool:
-    """Certified test of min_t ||(1-t)u + t*v|| >= rho.
-
-    Walks the same derivative-sign root search as `_chord_min_value` but
-    stops as soon as either a gauge value below rho is seen (min < rho) or
-    the Lipschitz lower bound over the remaining bracket clears rho.
-    """
-    dx, dy = vx - ux, vy - uy
-    value = spec.value
-    normals = getattr(spec, "normals", None)
-    if normals is not None:
-        return _poly_chord_min(normals, ux, uy, dx, dy)[0] >= rho
-    dplus = spec.dplus
-    dminus = spec.dminus
-    d0 = dplus(ux, uy, dx, dy)
-    if d0 >= 0.0:
-        return value(ux, uy) >= rho
-    d1 = dminus(vx, vy, dx, dy)
-    if d1 <= 0.0:
-        return value(vx, vy) >= rho
-
-    lip = value(dx, dy)
-    a, b, fa, fb = 0.0, 1.0, d0, d1
-    side = 0
-    for _ in range(120):
-        denom = fb - fa
-        t = 0.5 * (a + b) if denom == 0.0 else b - fb * (b - a) / denom
-        if not a < t < b:
-            t = 0.5 * (a + b)
-        if t <= a or t >= b:
-            break
-        wx, wy = ux + t * dx, uy + t * dy
-        fw = value(wx, wy)
-        if fw < rho:
-            return False
-        if fw - lip * max(t - a, b - t) >= rho:
-            return True
-        dpv = dplus(wx, wy, dx, dy)
-        dm = dpv if spec.smooth else dminus(wx, wy, dx, dy)
-        if dm <= 0.0 <= dpv:
-            return fw >= rho  # t is itself a minimizer
-        if dpv < 0.0:
-            a, fa = t, dpv
-            if side == -1:
-                fb *= 0.5
-            side = -1
-        else:
-            b, fb = t, dm
-            if side == 1:
-                fa *= 0.5
-            side = 1
-        if b - a <= 1e-15:
-            return fw >= rho
-    tm = 0.5 * (a + b)
-    return value(ux + tm * dx, uy + tm * dy) >= rho
-
-
 def _check_rho(rho: float):
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must lie strictly between 0 and 1, got {rho}")
@@ -242,38 +149,79 @@ def _check_rho(rho: float):
 def star_map(spec: NormSpec, u, rho: float) -> UnitPoint:
     """The next unit point whose chord from u supports rho*S.
 
-    Bisects the predicate "chord minimum >= rho" over angles in
-    (theta_u, theta_u + pi); the truth region is an initial interval
-    because chords from u dip monotonically deeper as they open up.  At a
-    plateau boundary the supremum angle of the truth region is returned.
+    The chord [u, u*] supports rho*S exactly when its line is tangent to
+    rho*S, so u* is where the counterclockwise tangent line from u to rho*S
+    meets S again.  The tangent point p is found from the dual pairing
+    <grad N(p), u> = rho, or as a vertex of rho*P for polygonal gauges;
+    u* = u + t*(p - u) with t > 1 the exit parameter of that line.
     """
     _check_rho(rho)
     up = as_unit_point(spec, u)
     ux, uy = up.coords
-    value = spec.value
-
-    def supports(phi):
-        c, s = math.cos(phi), math.sin(phi)
-        n = value(c, s)
-        return _chord_supports_at_least(spec, ux, uy, c / n, s / n, rho)
-
-    lo = up.theta
-    hi = up.theta + math.pi - ANTIPODAL_GUARD
-    if supports(hi):
+    normals = getattr(spec, "normals", None)
+    if normals is not None:
+        px, py, t = _poly_tangent_exit(normals, ux, uy, rho)
+    else:
+        px, py, t = _smooth_tangent_exit(spec, up, rho)
+    sx, sy = ux + t * (px - ux), uy + t * (py - uy)
+    gap = (math.atan2(sy, sx) - up.theta) % TWO_PI
+    if gap >= math.pi - ANTIPODAL_GUARD:
         raise NumericalError(
             f"star-map bracket failure: chords from theta={up.theta:.6f} "
             f"never dip below rho={rho}")
-    for _ in range(MAX_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+    if gap == 0.0:
+        raise NumericalError("star map could not leave the seed angle")
+    return natural_param(spec, up.theta + gap)
+
+
+def _smooth_tangent_exit(spec, up, rho):
+    """Tangent point p = rho*s(phi) and exit parameter t for a smooth gauge.
+
+    The gradient is 0-homogeneous and <grad N(s), s> = 1, so the pairing
+    <grad N(s(phi)), u> falls from 1 to -1 over the half-turn after u; the
+    tangent point is where it equals rho.  N(u + t*(p - u)) - 1 is convex
+    in t, negative at t = 1 and nonnegative at t = 2/N(p - u).
+    """
+    ux, uy = up.coords
+    grad, value = spec.grad, spec.value
+
+    def pairing(phi):
+        gx, gy = grad(math.cos(phi), math.sin(phi))
+        return rho - (gx * ux + gy * uy)
+
+    phi = illinois_root(pairing, up.theta, up.theta + math.pi, rho - 1.0, rho + 1.0)
+    px, py = natural_param(spec, phi).coords
+    px, py = rho * px, rho * py
+    dx, dy = px - ux, py - uy
+
+    def exit_gap(t):
+        return value(ux + t * dx, uy + t * dy) - 1.0
+
+    hi = max(1.0, 2.0 / value(dx, dy))
+    return px, py, illinois_root(exit_gap, 1.0, hi, rho - 1.0, exit_gap(hi))
+
+
+def _poly_tangent_exit(normals, ux, uy, rho):
+    """Tangent vertex and exit parameter for a polygonal gauge, in closed form.
+
+    Facets of rho*P visible from u (<n_i, u> >= rho) form a run around the
+    facet that supports u; the counterclockwise tangent touches the vertex
+    after the last of them.  The strict `<` sends a chord that runs along a
+    facet of rho*P to that facet's far vertex.
+    """
+    m = len(normals)
+    k = max(range(m), key=lambda i: normals[i][0] * ux + normals[i][1] * uy)
+    for _ in range(m):
+        k = (k + 1) % m
+        if normals[k][0] * ux + normals[k][1] * uy < rho:
             break
-        if supports(mid):
-            lo = mid
-        else:
-            hi = mid
-    if lo == up.theta:
-        raise NumericalError("star-map bisection could not leave the seed angle")
-    return natural_param(spec, lo)
+    (ax, ay), (bx, by) = normals[k - 1], normals[k]
+    det = ax * by - ay * bx
+    px, py = rho * (by - ay) / det, rho * (ax - bx) / det
+    dx, dy = px - ux, py - uy
+    t = min((1.0 - (nx * ux + ny * uy)) / s
+            for nx, ny in normals if (s := nx * dx + ny * dy) > 0.0)
+    return px, py, t
 
 
 def midpoint_check(spec: NormSpec, u, rho: float) -> ChordReport:

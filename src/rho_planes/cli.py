@@ -18,11 +18,12 @@ from .errors import (ConfigurationError, DomainError, GeometryError,
                      NonClosingError, NumericalError, RhoPlanesError)
 from .norms import NormSpec, natural_param
 from .chords import star_map
-from .polygons import build_polygon, polygon_to_dict, rho_from_kn
+from .polygons import (DEFAULT_CLOSE_TOL, DEFAULT_MAX_STEPS, build_polygon,
+                       polygon_to_dict, rho_from_kn)
 from .conics import fit_rho_ellipse
-from .areas import sector_area
-from .lab import (check_midpoint_property, even_probe, sweep, sweep_to_csv,
-                  sweep_to_json)
+from .areas import DEFAULT_SAMPLES, sector_area
+from .lab import (DEFAULT_CHECK_SAMPLES, DEFAULT_CHECK_TOL, check_midpoint_property,
+                  even_probe, sweep, sweep_to_csv, sweep_to_json)
 from . import svg as svgmod
 
 EXIT_OK = 0
@@ -124,12 +125,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 _DEFAULTS = {
-    "samples": 256,
-    "area_samples": 4096,
-    "tol": 1e-8,
+    "samples": DEFAULT_CHECK_SAMPLES,
+    "area_samples": DEFAULT_SAMPLES,
+    "tol": DEFAULT_CHECK_TOL,
     "seed": 0.0,
-    "max_steps": 2000,
-    "close_tol": 1e-8,
+    "max_steps": DEFAULT_MAX_STEPS,
+    "close_tol": DEFAULT_CLOSE_TOL,
 }
 
 

@@ -9,6 +9,8 @@ expressed through Birkhoff orthogonality to the conic's tangent direction.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GeometryError
 from .chords import star_map
 from .norms import NormSpec, as_unit_point, is_birkhoff_orthogonal, ORTHO_TOL, _xy
@@ -39,45 +41,17 @@ def conic_tangent_dir(conic: ConicForm, v) -> tuple[float, float]:
 
 
 def _solve3(rows, rhs):
-    """3x3 Gaussian elimination with partial pivoting.
+    """Solve the 3x3 fitting system.
 
-    Returns (solution, condition number); raises GeometryError on a
-    singular system.
+    Returns (solution, infinity-norm condition number); raises
+    GeometryError on a singular system.
     """
-    a = [list(r) + [v] for r, v in zip(rows, rhs)]
-    norm_a = max(sum(abs(x) for x in r[:3]) for r in a)
-    for col in range(3):
-        piv = max(range(col, 3), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) < 1e-300:
-            raise GeometryError("degenerate configuration: fitting system is singular")
-        a[col], a[piv] = a[piv], a[col]
-        for r in range(col + 1, 3):
-            f = a[r][col] / a[col][col]
-            for c in range(col, 4):
-                a[r][c] -= f * a[col][c]
-    sol = [0.0, 0.0, 0.0]
-    for r in (2, 1, 0):
-        s = a[r][3] - sum(a[r][c] * sol[c] for c in range(r + 1, 3))
-        sol[r] = s / a[r][r]
-
-    # inverse column by column through the same triangular factors
-    inv_cols = []
-    for unit in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
-        b = [list(r) + [u] for r, u in zip(rows, unit)]
-        for col in range(3):
-            piv = max(range(col, 3), key=lambda r: abs(b[r][col]))
-            b[col], b[piv] = b[piv], b[col]
-            for r in range(col + 1, 3):
-                f = b[r][col] / b[col][col]
-                for c in range(col, 4):
-                    b[r][c] -= f * b[col][c]
-        x = [0.0, 0.0, 0.0]
-        for r in (2, 1, 0):
-            s = b[r][3] - sum(b[r][c] * x[c] for c in range(r + 1, 3))
-            x[r] = s / b[r][r]
-        inv_cols.append(x)
-    norm_inv = max(sum(abs(inv_cols[c][r]) for c in range(3)) for r in range(3))
-    return sol, norm_a * norm_inv
+    m = np.array(rows, dtype=float)
+    try:
+        sol = np.linalg.solve(m, np.array(rhs, dtype=float))
+    except np.linalg.LinAlgError:
+        raise GeometryError("degenerate configuration: fitting system is singular") from None
+    return [float(v) for v in sol], float(np.linalg.cond(m, np.inf))
 
 
 def fit_rho_ellipse(u, u_star, rho: float) -> ConicForm:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnsupportedSpecError
-from .solve1d import MAX_BISECT_ITERS, golden_min
+from .solve1d import bisect_predicate, golden_min
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,8 +79,8 @@ class NormSpec:
         self.params = params
         self.value = value            # (x, y) -> gauge
         self.grad = grad              # (x, y) -> gradient tuple, smooth only
-        self.dplus = dplus            # right derivative of t -> N(w + t*d) at t=0
-        self.dminus = dminus          # left derivative
+        self.dplus = dplus            # right derivative of t -> N(w + t*d) at t=0, smooth only
+        self.dminus = dminus          # left derivative, smooth only
         self.value_many = value_many  # vectorized gauge on numpy arrays
         self.grad_many = grad_many    # vectorized gradient, smooth only
         self.smooth = smooth
@@ -157,7 +157,10 @@ class NormSpec:
             return ((2.0 * a * x + b * y) * dx + (b * x + 2.0 * c * y) * dy) / (2.0 * n)
 
         def value_many(x, y):
-            return np.sqrt(a * x * x + b * x * y + c * y * y)
+            m = np.maximum(np.abs(x), np.abs(y))
+            m = np.where(m == 0.0, 1.0, m)
+            x, y = x / m, y / m
+            return m * np.sqrt(a * x * x + b * x * y + c * y * y)
 
         def grad_many(x, y):
             n = value_many(x, y)
@@ -212,9 +215,7 @@ class NormSpec:
             dplus, dminus = _smooth_onesided(value, deriv)
             smooth = True
         else:
-            grad = None
-            grad_many = None
-            dplus, dminus = _l1_onesided(value)
+            grad = grad_many = dplus = dminus = None
             smooth = False
 
         spec = cls("lp", {"p": p}, value, grad, dplus, dminus, value_many,
@@ -243,9 +244,8 @@ class NormSpec:
         def value_many(x, y):
             return np.max(np.multiply.outer(nx, x) + np.multiply.outer(ny, y), axis=0)
 
-        dplus, dminus = _polygon_onesided(value, normals)
         spec_id = "poly:" + ";".join(f"{_fmt_num(x)},{_fmt_num(y)}" for x, y in verts)
-        spec = cls("poly", {"vertices": verts}, value, None, dplus, dminus,
+        spec = cls("poly", {"vertices": verts}, value, None, None, None,
                    value_many, None, False, False, spec_id)
         spec.normals = normals
         spec.corner_angles = [math.atan2(y, x) % TWO_PI for x, y in verts]
@@ -296,50 +296,6 @@ def _smooth_onesided(value, deriv):
     def dminus(x, y, dx, dy):
         d = deriv(x, y, dx, dy)
         return -value(dx, dy) if d is None else d
-
-    return dplus, dminus
-
-
-def _l1_onesided(value):
-    def dplus(x, y, dx, dy):
-        out = 0.0
-        out += math.copysign(dx, x) if x != 0.0 else abs(dx)
-        out += math.copysign(dy, y) if y != 0.0 else abs(dy)
-        return out
-
-    def dminus(x, y, dx, dy):
-        out = 0.0
-        out += math.copysign(dx, x) if x != 0.0 else -abs(dx)
-        out += math.copysign(dy, y) if y != 0.0 else -abs(dy)
-        return out
-
-    return dplus, dminus
-
-
-def _polygon_onesided(value, normals):
-    """Max/min of active-facet slopes; exact at gauge corners."""
-    def active_slopes(x, y, dx, dy):
-        n = value(x, y)
-        if n == 0.0:
-            nd = value(dx, dy)
-            return -nd, nd
-        cut = n - 1e-12 * (1.0 if n < 1.0 else n)
-        lo = math.inf
-        hi = -math.inf
-        for px, py in normals:
-            if px * x + py * y >= cut:
-                s = px * dx + py * dy
-                if s < lo:
-                    lo = s
-                if s > hi:
-                    hi = s
-        return lo, hi
-
-    def dplus(x, y, dx, dy):
-        return active_slopes(x, y, dx, dy)[1]
-
-    def dminus(x, y, dx, dy):
-        return active_slopes(x, y, dx, dy)[0]
 
     return dplus, dminus
 
@@ -510,15 +466,8 @@ def birkhoff_successor(spec: NormSpec, u) -> UnitPoint:
     up = as_unit_point(spec, u)
     gx, gy = spec.grad(up.x, up.y)
 
-    lo, hi = up.theta, up.theta + math.pi
-    for _ in range(MAX_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if gx * math.cos(mid) + gy * math.sin(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect_predicate(lambda phi: gx * math.cos(phi) + gy * math.sin(phi) > 0.0,
+                              up.theta, up.theta + math.pi)
     return natural_param(spec, 0.5 * (lo + hi))
 
 

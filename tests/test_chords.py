@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from rho_planes import (DegenerateChordError, DomainError, UnitPoint,
+from rho_planes import (DegenerateChordError, DomainError, NormSpec, UnitPoint,
                         chord_frame, chord_min, eval_norm, frame_grid,
                         midpoint_check, natural_param, precedes, star_map,
                         wedge)
 
-from conftest import (EUCLID, IPS_SPECS, LP4, QUAD14, QUAD213, SQUARE,
-                      euclid_star_angle, grid_chord_min, quad_star_oracle,
-                      spec_ids)
+from conftest import (EUCLID, IPS_SPECS, LP4, LP15, QUAD14, QUAD213, SQUARE,
+                      bisection_star_map, euclid_star_angle, grid_chord_min,
+                      quad_star_oracle, spec_ids)
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,6 +136,40 @@ def test_star_map_quad_matches_substitution_oracle(rng):
                 ox, oy = quad_star_oracle(spec, u.coords, rho)
                 assert got.x == pytest.approx(ox, abs=1e-9)
                 assert got.y == pytest.approx(oy, abs=1e-9)
+
+
+def _random_symmetric_polygon(seed):
+    """A symmetric convex 4- to 12-gon: points of a circle under a shear."""
+    rng = np.random.default_rng(seed)
+    half = int(rng.integers(2, 7))
+    while True:
+        angles = np.sort(rng.uniform(0.0, math.pi, half))
+        if np.min(np.diff(np.r_[angles, angles[0] + math.pi])) > 0.15:
+            break
+    sx, sy, shear = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)
+    return NormSpec.polygon([(sx * math.cos(a) + shear * math.sin(a), sy * math.sin(a))
+                             for a in angles])
+
+
+HEXAGON = NormSpec.polygon([(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3))
+                            for k in range(3)])
+ORACLE_SPECS = ([EUCLID, QUAD213, QUAD14, NormSpec.lp(1.1), LP15, LP4, NormSpec.lp(16),
+                 NormSpec.lp(1), SQUARE, HEXAGON]
+                + [_random_symmetric_polygon(seed) for seed in (11, 1, 2)])
+ORACLE_IDS = spec_ids(ORACLE_SPECS[:8]) + ["square", "hexagon", "random-4gon",
+                                           "random-8gon", "random-12gon"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+def test_star_map_matches_bisection_oracle(spec, rng):
+    thetas = (list(rng.uniform(0.0, TWO_PI, 8)) + [k * math.pi / 4 for k in range(8)]
+              + list(getattr(spec, "corner_angles", [])))
+    for rho in (0.05, 0.5, math.cos(math.pi / 5), 0.98):
+        for theta in thetas:
+            u = natural_param(spec, theta)
+            got = star_map(spec, u, rho)
+            want = bisection_star_map(spec, u, rho)
+            assert max(abs(got.x - want.x), abs(got.y - want.y)) <= 1e-13, (theta, rho)
 
 
 @pytest.mark.parametrize("spec", [EUCLID, QUAD14, LP4, SQUARE],

@@ -94,6 +94,14 @@ def test_natural_param_on_unit_circle(spec, rng):
     assert np.max(np.abs(vals - 1.0)) <= 1e-10
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_ids(ALL_SPECS))
+def test_value_many_matches_value_at_extreme_scales(spec):
+    for scale in (1e200, 1e-200):
+        for x, y in ((1.0, 1.0), (1.0, -0.3), (0.2, 0.7)):
+            got = float(spec.value_many(np.array([scale * x]), np.array([scale * y]))[0])
+            assert got == pytest.approx(spec.value(scale * x, scale * y), rel=1e-12)
+
+
 def test_natural_param_examples():
     p = natural_param(EUCLID, 0.0)
     assert p.coords == (1.0, 0.0)
