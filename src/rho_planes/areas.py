@@ -60,10 +60,9 @@ def sector_area(spec: NormSpec, alpha: float, beta: float,
     estimate = abs(value - value_half)
     # gauge corners inside the range cut the polyline with a phase-dependent
     # error the refinement difference can miss; bound each cut explicitly
-    corners = getattr(spec, "corner_angles", None)
-    if corners:
+    if spec.corner_angles:
         span = beta - alpha
-        inside = sum(1 for c in corners if 0.0 < (c - alpha) % TWO_PI < span)
+        inside = sum(1 for c in spec.corner_angles if 0.0 < (c - alpha) % TWO_PI < span)
         if inside:
             seg2 = float(np.max(np.diff(x) ** 2 + np.diff(y) ** 2))
             estimate += inside * 0.5 * seg2

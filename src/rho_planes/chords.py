@@ -15,7 +15,7 @@ from .errors import DegenerateChordError, DomainError, NumericalError
 from .norms import (TWO_PI, NormSpec, UnitPoint, as_unit_point,
                     birkhoff_successor, natural_param, perp_points,
                     unit_points, _require_smooth)
-from .solve1d import bisect_predicate, illinois_root
+from .solve1d import illinois_root
 
 ANTIPODAL_GUARD = 1e-9
 
@@ -24,9 +24,8 @@ ANTIPODAL_GUARD = 1e-9
 class ChordReport:
     """A chord with its minimum gauge value and midpoint diagnostics.
 
-    argmin_lo/argmin_hi bound the minimizer set; they coincide (to solver
-    precision) for strictly convex gauges and span the flat piece for
-    polygonal ones.
+    argmin_lo/argmin_hi bound the minimizer set; they coincide for smooth
+    (strictly convex) gauges and span the flat piece for polygonal ones.
     """
 
     u: UnitPoint
@@ -96,49 +95,32 @@ def chord_min(spec: NormSpec, u, v) -> ChordReport:
 
     Polygonal gauges are minimized exactly as an upper envelope of facet
     functionals, so their flat minima are resolved rather than smeared by
-    value comparisons; for smooth gauges the interval endpoints are located
-    by bisecting the signs of the one-sided derivatives.
+    value comparisons.  Smooth gauges here are strictly convex, so the
+    minimizer is the one root of the slope D+(t) on [0, 1], run until the
+    bracket cannot shrink.
     """
     up, vp = _as_two_points(spec, u, v)
     ux, uy = up.coords
     dx, dy = vp.x - ux, vp.y - uy
+    mid_norm = spec.value(0.5 * (up.x + vp.x), 0.5 * (up.y + vp.y))
 
-    normals = getattr(spec, "normals", None)
-    if normals is not None:
-        min_value, lo, hi = _poly_chord_min(normals, ux, uy, dx, dy)
-        mid_norm = spec.value(0.5 * (up.x + vp.x), 0.5 * (up.y + vp.y))
+    if spec.normals is not None:
+        min_value, lo, hi = _poly_chord_min(spec.normals, ux, uy, dx, dy)
         return ChordReport(up, vp, min_value, lo, hi, mid_norm)
 
     dplus = spec.dplus
-    dminus = spec.dminus
 
-    def dp(t):
+    def slope(t):
         return dplus(ux + t * dx, uy + t * dy, dx, dy)
 
-    def dm(t):
-        return dminus(ux + t * dx, uy + t * dy, dx, dy)
-
-    # argmin_lo = inf{t : D+(t) >= 0}; the predicate is monotone because
-    # one-sided derivatives of a convex function are nondecreasing.
-    if dp(0.0) >= 0.0:
-        lo = 0.0
+    s0 = slope(0.0)
+    if s0 >= 0.0:
+        t = 0.0
     else:
-        a, b = bisect_predicate(lambda t: dp(t) < 0.0, 0.0, 1.0)
-        lo = 0.5 * (a + b)
-
-    # argmin_hi = sup{t : D-(t) <= 0}
-    if dm(1.0) <= 0.0:
-        hi = 1.0
-    else:
-        a, b = bisect_predicate(lambda t: dm(t) <= 0.0, max(0.0, lo - 1e-12), 1.0)
-        hi = 0.5 * (a + b)
-
-    if hi < lo:
-        lo = hi = 0.5 * (lo + hi)
-    tm = 0.5 * (lo + hi)
-    min_value = spec.value(ux + tm * dx, uy + tm * dy)
-    mid_norm = spec.value(0.5 * (up.x + vp.x), 0.5 * (up.y + vp.y))
-    return ChordReport(up, vp, min_value, lo, hi, mid_norm)
+        s1 = slope(1.0)
+        t = 1.0 if s1 <= 0.0 else illinois_root(slope, 0.0, 1.0, s0, s1, xtol=0.0)
+    min_value = spec.value(ux + t * dx, uy + t * dy)
+    return ChordReport(up, vp, min_value, t, t, mid_norm)
 
 
 def _check_rho(rho: float):
@@ -158,9 +140,8 @@ def star_map(spec: NormSpec, u, rho: float) -> UnitPoint:
     _check_rho(rho)
     up = as_unit_point(spec, u)
     ux, uy = up.coords
-    normals = getattr(spec, "normals", None)
-    if normals is not None:
-        px, py, t = _poly_tangent_exit(normals, ux, uy, rho)
+    if spec.normals is not None:
+        px, py, t = _poly_tangent_exit(spec.normals, ux, uy, rho)
     else:
         px, py, t = _smooth_tangent_exit(spec, up, rho)
     sx, sy = ux + t * (px - ux), uy + t * (py - uy)

@@ -68,24 +68,34 @@ class TangentCheck:
 class NormSpec:
     """A symmetric convex gauge on the plane.
 
-    Construct through the factory classmethods or `parse`.  Instances are
-    immutable and safe to share across threads; every operation in the
-    library is a pure function of its arguments.
+    A spec is its gauge `value` (scalar, and `value_many` on numpy arrays)
+    plus either its gradient, for the smooth and strictly convex families,
+    or the facet normals of its polygonal unit ball; the one-sided slopes
+    and corner angles are derived from these here.  Construct through the
+    factory classmethods or `parse`.  Instances are immutable and safe to
+    share across threads; every operation in the library is a pure
+    function of its arguments.
     """
 
-    def __init__(self, kind, params, value, grad, dplus, dminus,
-                 value_many, grad_many, smooth, strictly_convex, spec_id):
+    def __init__(self, kind, params, spec_id, value, value_many,
+                 grad=None, grad_many=None, normals=None):
         self.kind = kind
         self.params = params
-        self.value = value            # (x, y) -> gauge
-        self.grad = grad              # (x, y) -> gradient tuple, smooth only
-        self.dplus = dplus            # right derivative of t -> N(w + t*d) at t=0, smooth only
-        self.dminus = dminus          # left derivative, smooth only
-        self.value_many = value_many  # vectorized gauge on numpy arrays
-        self.grad_many = grad_many    # vectorized gradient, smooth only
-        self.smooth = smooth
-        self.strictly_convex = strictly_convex
         self.spec_id = spec_id
+        self.value = value            # (x, y) -> gauge
+        self.value_many = value_many  # the gauge on numpy arrays
+        self.grad = grad              # (x, y) -> gradient tuple, smooth only
+        self.grad_many = grad_many    # the gradient on numpy arrays, smooth only
+        self.normals = normals        # facet normals n_i with N = max_i <n_i, .>, polygonal only
+        self.smooth = grad is not None
+        # right/left derivative of t -> N(w + t*d) at t=0, smooth only
+        self.dplus = _slope(value, grad, 1.0) if self.smooth else None
+        self.dminus = _slope(value, grad, -1.0) if self.smooth else None
+        # corner i joins facets a = n_(i-1) and b = n_i: <a, v> = <b, v> = 1
+        # puts it along (b_y - a_y, a_x - b_x), as det(a, b) > 0
+        self.corner_angles = () if normals is None else tuple(
+            math.atan2(ax - bx, by - ay) % TWO_PI
+            for (ax, ay), (bx, by) in zip(normals[-1:] + normals[:-1], normals))
 
     def __repr__(self):
         return f"NormSpec({self.spec_id!r})"
@@ -105,29 +115,15 @@ class NormSpec:
 
     @classmethod
     def euclidean(cls) -> "NormSpec":
-        def value(x, y):
-            return math.hypot(x, y)
-
         def grad(x, y):
             n = math.hypot(x, y)
             return x / n, y / n
-
-        def deriv(x, y, dx, dy):
-            n = math.hypot(x, y)
-            if n == 0.0:
-                return None
-            return (x * dx + y * dy) / n
-
-        def value_many(x, y):
-            return np.hypot(x, y)
 
         def grad_many(x, y):
             n = np.hypot(x, y)
             return x / n, y / n
 
-        dplus, dminus = _smooth_onesided(value, deriv)
-        return cls("euclid", {}, value, grad, dplus, dminus, value_many,
-                   grad_many, True, True, "euclid")
+        return cls("euclid", {}, "euclid", math.hypot, np.hypot, grad, grad_many)
 
     @classmethod
     def quadratic(cls, a: float, b: float, c: float) -> "NormSpec":
@@ -150,12 +146,6 @@ class NormSpec:
             n = value(x, y)
             return (2.0 * a * x + b * y) / (2.0 * n), (b * x + 2.0 * c * y) / (2.0 * n)
 
-        def deriv(x, y, dx, dy):
-            n = value(x, y)
-            if n == 0.0:
-                return None
-            return ((2.0 * a * x + b * y) * dx + (b * x + 2.0 * c * y) * dy) / (2.0 * n)
-
         def value_many(x, y):
             m = np.maximum(np.abs(x), np.abs(y))
             m = np.where(m == 0.0, 1.0, m)
@@ -166,16 +156,21 @@ class NormSpec:
             n = value_many(x, y)
             return (2.0 * a * x + b * y) / (2.0 * n), (b * x + 2.0 * c * y) / (2.0 * n)
 
-        dplus, dminus = _smooth_onesided(value, deriv)
         spec_id = f"quad:{_fmt_num(a)},{_fmt_num(b)},{_fmt_num(c)}"
-        return cls("quad", {"a": a, "b": b, "c": c}, value, grad, dplus,
-                   dminus, value_many, grad_many, True, True, spec_id)
+        return cls("quad", {"a": a, "b": b, "c": c}, spec_id, value, value_many,
+                   grad, grad_many)
 
     @classmethod
     def lp(cls, p: float) -> "NormSpec":
         p = float(p)
         if not (math.isfinite(p) and p >= 1.0):
             raise ConfigurationError(f"lp exponent must be a finite real >= 1, got {p}")
+        spec_id = f"lp:{_fmt_num(p)}"
+        if p == 1.0:
+            # the diamond is a polygonal gauge: max of four facet functionals
+            return cls("lp", {"p": p}, spec_id, *_facet_gauge(_DIAMOND_NORMALS),
+                       normals=_DIAMOND_NORMALS)
+        q = p - 1.0
 
         def value(x, y):
             ax, ay = abs(x), abs(y)
@@ -184,72 +179,30 @@ class NormSpec:
                 return 0.0
             return m * ((ax / m) ** p + (ay / m) ** p) ** (1.0 / p)
 
+        # sign(x)*(|x|/N)^(p-1): each ratio is at most 1, so no power overflows
+        def grad(x, y):
+            n = value(x, y)
+            return math.copysign((abs(x) / n) ** q, x), math.copysign((abs(y) / n) ** q, y)
+
         def value_many(x, y):
             ax, ay = np.abs(x), np.abs(y)
             m = np.maximum(ax, ay)
             m = np.where(m == 0.0, 1.0, m)
             return m * ((ax / m) ** p + (ay / m) ** p) ** (1.0 / p)
 
-        if p > 1.0:
-            def grad(x, y):
-                n = value(x, y)
-                s = n ** (p - 1.0)
-                gx = math.copysign(abs(x) ** (p - 1.0), x) / s
-                gy = math.copysign(abs(y) ** (p - 1.0), y) / s
-                return gx, gy
+        def grad_many(x, y):
+            n = value_many(x, y)
+            return np.sign(x) * (np.abs(x) / n) ** q, np.sign(y) * (np.abs(y) / n) ** q
 
-            def deriv(x, y, dx, dy):
-                n = value(x, y)
-                if n == 0.0:
-                    return None
-                s = n ** (p - 1.0)
-                return (math.copysign(abs(x) ** (p - 1.0), x) * dx
-                        + math.copysign(abs(y) ** (p - 1.0), y) * dy) / s
-
-            def grad_many(x, y):
-                n = value_many(x, y)
-                s = n ** (p - 1.0)
-                return (np.sign(x) * np.abs(x) ** (p - 1.0) / s,
-                        np.sign(y) * np.abs(y) ** (p - 1.0) / s)
-
-            dplus, dminus = _smooth_onesided(value, deriv)
-            smooth = True
-        else:
-            grad = grad_many = dplus = dminus = None
-            smooth = False
-
-        spec = cls("lp", {"p": p}, value, grad, dplus, dminus, value_many,
-                   grad_many, smooth, smooth, f"lp:{_fmt_num(p)}")
-        if not smooth:
-            # the diamond is a polygonal gauge: max of four facet functionals
-            spec.normals = [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)]
-            spec.corner_angles = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
-        return spec
+        return cls("lp", {"p": p}, spec_id, value, value_many, grad, grad_many)
 
     @classmethod
     def polygon(cls, vertices) -> "NormSpec":
         verts = _symmetric_hull([(float(x), float(y)) for x, y in vertices])
         normals = _edge_normals(verts)
-        nx = np.array([n[0] for n in normals])
-        ny = np.array([n[1] for n in normals])
-
-        def value(x, y):
-            best = -math.inf
-            for px, py in normals:
-                d = px * x + py * y
-                if d > best:
-                    best = d
-            return best
-
-        def value_many(x, y):
-            return np.max(np.multiply.outer(nx, x) + np.multiply.outer(ny, y), axis=0)
-
         spec_id = "poly:" + ";".join(f"{_fmt_num(x)},{_fmt_num(y)}" for x, y in verts)
-        spec = cls("poly", {"vertices": verts}, value, None, None, None,
-                   value_many, None, False, False, spec_id)
-        spec.normals = normals
-        spec.corner_angles = [math.atan2(y, x) % TWO_PI for x, y in verts]
-        return spec
+        return cls("poly", {"vertices": verts}, spec_id, *_facet_gauge(normals),
+                   normals=normals)
 
     @classmethod
     def parse(cls, text: str) -> "NormSpec":
@@ -283,21 +236,41 @@ class NormSpec:
         raise ConfigurationError(f"unrecognized norm spec {text!r}")
 
 
-def _smooth_onesided(value, deriv):
-    """One-sided directional derivatives for a smooth norm.
+_DIAMOND_NORMALS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 
-    Away from the origin the two sides agree with the gradient; at the
-    origin the norm has a cone kink with slopes -N(d), +N(d).
+
+def _slope(value, grad, sign):
+    """One-sided derivative of t -> N(w + t*d) at t=0 for a smooth gauge.
+
+    Away from the origin both sides are the gradient pairing; at the origin
+    the gauge has a cone kink with slopes -N(d) and +N(d), picked by sign.
     """
-    def dplus(x, y, dx, dy):
-        d = deriv(x, y, dx, dy)
-        return value(dx, dy) if d is None else d
+    def slope(x, y, dx, dy):
+        if x == 0.0 and y == 0.0:
+            return sign * value(dx, dy)
+        gx, gy = grad(x, y)
+        return gx * dx + gy * dy
 
-    def dminus(x, y, dx, dy):
-        d = deriv(x, y, dx, dy)
-        return -value(dx, dy) if d is None else d
+    return slope
 
-    return dplus, dminus
+
+def _facet_gauge(normals):
+    """The polygonal gauge max_i <n_i, (x, y)>, scalar and on numpy arrays."""
+    nx = np.array([n[0] for n in normals])
+    ny = np.array([n[1] for n in normals])
+
+    def value(x, y):  # an explicit loop: max() over a generator is slower here
+        best = -math.inf
+        for px, py in normals:
+            d = px * x + py * y
+            if d > best:
+                best = d
+        return best
+
+    def value_many(x, y):
+        return np.max(np.multiply.outer(nx, x) + np.multiply.outer(ny, y), axis=0)
+
+    return value, value_many
 
 
 def _symmetric_hull(points):
@@ -375,8 +348,14 @@ def eval_norm(spec: NormSpec, v) -> float:
 
 
 def natural_param(spec: NormSpec, theta: float) -> UnitPoint:
-    """The unit-circle point in direction theta: (cos t, sin t) / gauge."""
-    theta = float(theta) % TWO_PI
+    """The unit-circle point in direction theta: (cos t, sin t) / gauge.
+
+    Raises DomainError for a non-finite theta.
+    """
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise DomainError(f"angle must be finite, got {theta}")
+    theta %= TWO_PI
     cx, cy = math.cos(theta), math.sin(theta)
     n = spec.value(cx, cy)
     return UnitPoint(theta, (cx / n, cy / n))
@@ -421,22 +400,16 @@ def as_unit_point(spec: NormSpec, v, unit_tol: float = UNIT_TOL) -> UnitPoint:
 def is_birkhoff_orthogonal(spec: NormSpec, u, v, tol: float = ORTHO_TOL) -> bool:
     """Birkhoff orthogonality u _|_ v: no multiple of v pulls u closer to 0.
 
-    Minimizes ||u + lambda*v|| over the bracket |lambda| <= 2||u||/||v||,
-    which always contains the global minimizer, and compares against ||u||.
+    Minimizes ||u + lambda*v|| and compares against ||u||.
     """
-    ux, uy = _xy(u)
-    vx, vy = _xy(v)
-    nu = spec.value(ux, uy)
-    nv = spec.value(vx, vy)
-    if nu == 0.0 or nv == 0.0:
-        raise DomainError("Birkhoff orthogonality needs nonzero vectors")
-    r = 2.0 * nu / nv
-    _, fmin = golden_min(lambda lam: spec.value(ux + lam * vx, uy + lam * vy), -r, r)
-    return fmin >= nu - tol
+    return birkhoff_orthogonality_defect(spec, u, v) <= tol
 
 
 def birkhoff_orthogonality_defect(spec: NormSpec, u, v) -> float:
-    """||u|| minus the best achievable ||u + lambda*v||; 0 means orthogonal."""
+    """||u|| minus the best achievable ||u + lambda*v||; 0 means orthogonal.
+
+    The bracket |lambda| <= 2||u||/||v|| always contains the global minimizer.
+    """
     ux, uy = _xy(u)
     vx, vy = _xy(v)
     nu = spec.value(ux, uy)
@@ -449,7 +422,7 @@ def birkhoff_orthogonality_defect(spec: NormSpec, u, v) -> float:
 
 
 def _require_smooth(spec: NormSpec):
-    if not (spec.smooth and spec.strictly_convex):
+    if not spec.smooth:
         raise UnsupportedSpecError(
             f"{spec.spec_id} is not smooth and strictly convex; "
             "only the orthogonality predicate is defined for such norms")

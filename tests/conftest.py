@@ -82,9 +82,8 @@ def _chord_supports_at_least(spec, ux, uy, vx, vy, rho):
     """
     dx, dy = vx - ux, vy - uy
     value = spec.value
-    normals = getattr(spec, "normals", None)
-    if normals is not None:
-        return _poly_chord_min(normals, ux, uy, dx, dy)[0] >= rho
+    if spec.normals is not None:
+        return _poly_chord_min(spec.normals, ux, uy, dx, dy)[0] >= rho
     dplus = spec.dplus
     d0 = dplus(ux, uy, dx, dy)
     if d0 >= 0.0:

@@ -72,8 +72,9 @@ def test_chord_argmin_collapses_on_strictly_convex(spec, rng):
             assert spec.value(*w) == pytest.approx(rep.min_value, abs=1e-10)
 
 
-@pytest.mark.parametrize("spec", [EUCLID, QUAD14, LP4, SQUARE],
-                         ids=["euclid", "quad:1,0,4", "lp:4", "square"])
+@pytest.mark.parametrize("spec", [EUCLID, QUAD14, LP4, SQUARE, LP15, QUAD213, NormSpec.lp(1)],
+                         ids=["euclid", "quad:1,0,4", "lp:4", "square", "lp:1.5",
+                              "quad:2,1,3", "lp:1"])
 def test_chord_min_matches_grid_oracle(spec, rng):
     for _ in range(10):
         a, b = rng.uniform(0.0, TWO_PI, 2)
@@ -163,7 +164,7 @@ ORACLE_IDS = spec_ids(ORACLE_SPECS[:8]) + ["square", "hexagon", "random-4gon",
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
 def test_star_map_matches_bisection_oracle(spec, rng):
     thetas = (list(rng.uniform(0.0, TWO_PI, 8)) + [k * math.pi / 4 for k in range(8)]
-              + list(getattr(spec, "corner_angles", [])))
+              + list(spec.corner_angles))
     for rho in (0.05, 0.5, math.cos(math.pi / 5), 0.98):
         for theta in thetas:
             u = natural_param(spec, theta)

@@ -74,6 +74,24 @@ def test_numerical_failure_exit_code(capsys):
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "numerical"
 
 
+def test_check_huge_p_gives_a_finite_answer(capsys):
+    # (|x|/N)^(p-1) keeps the lp:1e6 gradient finite where N^(p-1) underflows
+    code, out, _ = run(["check", "--spec", "lp:1e6", "--rho", "0.5"], capsys)
+    assert code == 0
+    dev = json.loads(out)["report"]["max_dev"]
+    assert math.isfinite(dev)
+    assert dev == pytest.approx(1 / 6, abs=1e-3)  # the square's deviation at rho=1/2
+
+
+@pytest.mark.parametrize("seed", ["nan", "inf", "-inf"])
+def test_non_finite_seed_is_a_usage_error(seed, capsys):
+    code, out, err = run(["polygon", "--spec", "euclid", "--rho", "0.5",
+                          "--seed", seed], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["error"]["type"] == "usage"
+
+
 def test_usage_error_leaves_no_partial_file(tmp_path, capsys):
     out = tmp_path / "never.json"
     code, _, _ = run(["check", "--spec", "euclid", "--out", str(out)], capsys)

@@ -11,8 +11,8 @@ from rho_planes import (ConfigurationError, DomainError, NormSpec,
                         is_birkhoff_orthogonal, natural_param, precedes,
                         tangent_check, wedge)
 
-from conftest import (ALL_SPECS, EUCLID, IPS_SPECS, LP4, QUAD14, SMOOTH_SPECS,
-                      SQUARE, grid_min_along, spec_ids)
+from conftest import (ALL_SPECS, DIAMOND, EUCLID, IPS_SPECS, LP4, QUAD14,
+                      SMOOTH_SPECS, SQUARE, grid_min_along, spec_ids)
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,6 +100,26 @@ def test_value_many_matches_value_at_extreme_scales(spec):
         for x, y in ((1.0, 1.0), (1.0, -0.3), (0.2, 0.7)):
             got = float(spec.value_many(np.array([scale * x]), np.array([scale * y]))[0])
             assert got == pytest.approx(spec.value(scale * x, scale * y), rel=1e-12)
+            if spec.smooth:
+                gx, gy = spec.grad_many(np.array([scale * x]), np.array([scale * y]))
+                want = spec.grad(scale * x, scale * y)
+                assert (float(gx[0]), float(gy[0])) == pytest.approx(want, rel=1e-12)
+
+
+def test_lp1_is_the_diamond_polygon():
+    l1 = NormSpec.lp(1)
+    assert l1.corner_angles == DIAMOND.corner_angles
+    pts = [(1.0, 0.0), (0.3, -0.7), (-2.5, 1e-3), (1e200, -1e200), (1e-200, 3e-200)]
+    for x, y in pts:
+        assert l1.value(x, y) == DIAMOND.value(x, y)
+    xs, ys = np.array(pts).T
+    assert np.array_equal(l1.value_many(xs, ys), DIAMOND.value_many(xs, ys))
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_natural_param_rejects_non_finite_angles(theta):
+    with pytest.raises(DomainError):
+        natural_param(EUCLID, theta)
 
 
 def test_natural_param_examples():
