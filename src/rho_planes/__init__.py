@@ -14,8 +14,8 @@ from .norms import (NormSpec, TangentCheck, UnitPoint, as_unit_point,
                     birkhoff_orthogonality_defect, birkhoff_successor,
                     eval_norm, is_birkhoff_orthogonal, natural_param,
                     precedes, tangent_check, unit_points, wedge)
-from .chords import (ChordFrame, ChordReport, chord_frame, chord_min,
-                     frame_grid, midpoint_check, star_map)
+from .chords import (ChordFrame, ChordReport, MidpointReport, chord_frame,
+                     chord_min, frame_grid, midpoint_check, star_map)
 from .polygons import (ClosureRatio, PolygonClass, RhoPolygon, build_polygon,
                        classify, closure_ratios, polygon_to_dict, rho_from_kn,
                        wedge_sum)

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DegenerateChordError, DomainError, NumericalError
 from .norms import (TWO_PI, NormSpec, UnitPoint, as_unit_point,
                     birkhoff_successor, natural_param, perp_points,
-                    unit_points, _require_smooth)
+                    unit_points, _line_min, _require_smooth)
 from .solve1d import illinois_root
 
 ANTIPODAL_GUARD = 1e-9
@@ -33,6 +33,18 @@ class ChordReport:
     min_value: float
     argmin_lo: float
     argmin_hi: float
+    midpoint_norm: float
+
+
+@dataclass(frozen=True)
+class MidpointReport:
+    """A supporting chord [u, v] with v = u* and the gauge of its midpoint.
+
+    |midpoint_norm - rho| is the midpoint-support deviation of this chord.
+    """
+
+    u: UnitPoint
+    v: UnitPoint
     midpoint_norm: float
 
 
@@ -61,66 +73,20 @@ def _as_two_points(spec, u, v):
     return up, vp
 
 
-def _poly_chord_min(normals, ux, uy, dx, dy):
-    """Exact minimum of t -> max_i <n_i, u + t*d> on [0, 1].
-
-    The restriction of a polygonal gauge to a segment is an upper envelope
-    of affine functions, so its minimum and flat argmin piece sit on
-    pairwise line intersections (or the segment ends); no iteration needed.
-    """
-    lines = [(nx * ux + ny * uy, nx * dx + ny * dy) for nx, ny in normals]
-
-    def envelope(t):
-        return max(al + be * t for al, be in lines)
-
-    cands = [0.0, 1.0]
-    m = len(lines)
-    for i in range(m):
-        ai, bi = lines[i]
-        for j in range(i + 1, m):
-            aj, bj = lines[j]
-            if bi != bj:
-                t = (aj - ai) / (bi - bj)
-                if 0.0 < t < 1.0:
-                    cands.append(t)
-    vals = [envelope(t) for t in cands]
-    best = min(vals)
-    cut = best + 1e-13 * (1.0 if best < 1.0 else best)
-    flat = [t for t, v in zip(cands, vals) if v <= cut]
-    return best, min(flat), max(flat)
-
-
 def chord_min(spec: NormSpec, u, v) -> ChordReport:
     """Minimum of t -> ||(1-t)u + t*v|| over [0, 1] with its minimizer interval.
 
-    Polygonal gauges are minimized exactly as an upper envelope of facet
-    functionals, so their flat minima are resolved rather than smeared by
-    value comparisons.  Smooth gauges here are strictly convex, so the
-    minimizer is the one root of the slope D+(t) on [0, 1], run until the
-    bracket cannot shrink.
+    The line minimum of `norms._line_min`: a slope root on smooth gauges,
+    the exact facet envelope on polygonal ones.
     """
     up, vp = _as_two_points(spec, u, v)
     ux, uy = up.coords
-    dx, dy = vp.x - ux, vp.y - uy
-    mid_norm = spec.value(0.5 * (up.x + vp.x), 0.5 * (up.y + vp.y))
+    min_value, lo, hi = _line_min(spec, ux, uy, vp.x - ux, vp.y - uy)
+    return ChordReport(up, vp, min_value, lo, hi, _midpoint_norm(spec, up, vp))
 
-    if spec.normals is not None:
-        min_value, lo, hi = _poly_chord_min(spec.normals, ux, uy, dx, dy)
-        return ChordReport(up, vp, min_value, lo, hi, mid_norm)
 
-    dplus = spec.dplus
-
-    def slope(t):
-        return dplus(ux + t * dx, uy + t * dy, dx, dy)
-
-    s0 = slope(0.0)
-    if s0 >= 0.0:
-        t = 0.0
-    else:
-        s1 = slope(1.0)
-        t = 1.0 if s1 <= 0.0 else illinois_root(slope, 0.0, 1.0, s0, s1, xtol=0.0)
-    min_value = spec.value(ux + t * dx, uy + t * dy)
-    return ChordReport(up, vp, min_value, t, t, mid_norm)
+def _midpoint_norm(spec, up, vp):
+    return spec.value(0.5 * (up.x + vp.x), 0.5 * (up.y + vp.y))
 
 
 def _check_rho(rho: float):
@@ -205,12 +171,16 @@ def _poly_tangent_exit(normals, ux, uy, rho):
     return px, py, t
 
 
-def midpoint_check(spec: NormSpec, u, rho: float) -> ChordReport:
-    """Chord report of [u, star_map(u)]; |midpoint_norm - rho| is the
-    midpoint-support deviation of this chord."""
+def midpoint_check(spec: NormSpec, u, rho: float) -> MidpointReport:
+    """The chord [u, star_map(u)] and the gauge of its midpoint.
+
+    The chord supports rho*S by construction, so only its midpoint gauge
+    is needed; no chord minimum is solved.
+    """
     _check_rho(rho)
     up = as_unit_point(spec, u)
-    return chord_min(spec, up, star_map(spec, up, rho))
+    up, vp = _as_two_points(spec, up, star_map(spec, up, rho))
+    return MidpointReport(up, vp, _midpoint_norm(spec, up, vp))
 
 
 def chord_frame(spec: NormSpec, theta: float, rho: float) -> ChordFrame:

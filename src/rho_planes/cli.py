@@ -9,7 +9,9 @@ All errors are also emitted as structured JSON on stderr.
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import os
 import sys
 import time
@@ -41,7 +43,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="rho-planes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -157,6 +161,18 @@ def _resolve_rho(conf: dict) -> float:
     return rho
 
 
+def _tolerance(conf: dict, key: str) -> float:
+    """A tolerance from the flags or config: a finite real >= 0, else a usage error."""
+    raw = conf.get(key, _DEFAULTS[key])
+    try:
+        tol = float(raw)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"--{key.replace('_', '-')} must be a finite real >= 0, got {raw!r}")
+    return tol
+
+
 def _parse_spec(conf: dict) -> NormSpec:
     text = conf.get("spec")
     if not text:
@@ -196,7 +212,7 @@ def _cmd_check(conf: dict) -> int:
     spec = _parse_spec(conf)
     rho = _resolve_rho(conf)
     samples = int(conf.get("samples", _DEFAULTS["samples"]))
-    tol = float(conf.get("tol", _DEFAULTS["tol"]))
+    tol = _tolerance(conf, "tol")
     report = check_midpoint_property(spec, rho, samples, tol)
     _emit(_json_doc({"report": report.to_dict()}, conf), conf.get("out"))
     if not report.passed and spec.is_ips_family:
@@ -221,8 +237,10 @@ def _cmd_sweep(conf: dict) -> int:
         rhos = [float(t) for t in str(rhos_raw).split(",")]
     except ValueError:
         raise UsageError(f"--rhos expects comma-separated reals, got {rhos_raw!r}")
+    if not all(math.isfinite(r) for r in rhos):
+        raise UsageError(f"--rhos entries must be finite, got {rhos_raw!r}")
     samples = int(conf.get("samples", _DEFAULTS["samples"]))
-    tol = float(conf.get("tol", _DEFAULTS["tol"]))
+    tol = _tolerance(conf, "tol")
     result = sweep(specs, rhos, samples, tol)
     fmt = conf.get("format") or ("csv" if str(conf.get("out", "")).endswith(".csv") else "json")
     if fmt == "csv":
@@ -240,7 +258,7 @@ def _cmd_polygon(conf: dict) -> int:
     rho = _resolve_rho(conf)
     seed = float(conf.get("seed", _DEFAULTS["seed"]))
     max_steps = int(conf.get("max_steps", _DEFAULTS["max_steps"]))
-    close_tol = float(conf.get("close_tol", _DEFAULTS["close_tol"]))
+    close_tol = _tolerance(conf, "close_tol")
     poly = build_polygon(spec, natural_param(spec, seed), rho, max_steps, close_tol)
     out = conf.get("out")
     fmt = conf.get("format") or ("svg" if str(out or "").endswith(".svg") else "json")

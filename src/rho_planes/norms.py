@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnsupportedSpecError
-from .solve1d import bisect_predicate, golden_min
+from .solve1d import illinois_root
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,6 +130,10 @@ class NormSpec:
         a, b, c = float(a), float(b), float(c)
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
             raise ConfigurationError("quadratic coefficients must be finite")
+        if not math.isfinite(2.0 * (a + abs(b) + c)):
+            # the gauge and its gradient on the unit box would overflow
+            raise ConfigurationError(
+                f"quadratic coefficients {a}, {b}, {c} are too large")
         if not (a > 0.0 and 4.0 * a * c - b * b > 0.0):
             raise ConfigurationError(
                 f"quadratic form {a}x^2+{b}xy+{c}y^2 is not positive definite")
@@ -408,7 +412,8 @@ def is_birkhoff_orthogonal(spec: NormSpec, u, v, tol: float = ORTHO_TOL) -> bool
 def birkhoff_orthogonality_defect(spec: NormSpec, u, v) -> float:
     """||u|| minus the best achievable ||u + lambda*v||; 0 means orthogonal.
 
-    The bracket |lambda| <= 2||u||/||v|| always contains the global minimizer.
+    The segment |lambda| <= r = 2||u||/||v|| always contains the global
+    minimizer, so the defect is one line minimum over [u - r*v, u + r*v].
     """
     ux, uy = _xy(u)
     vx, vy = _xy(v)
@@ -417,8 +422,62 @@ def birkhoff_orthogonality_defect(spec: NormSpec, u, v) -> float:
     if nu == 0.0 or nv == 0.0:
         raise DomainError("Birkhoff orthogonality needs nonzero vectors")
     r = 2.0 * nu / nv
-    _, fmin = golden_min(lambda lam: spec.value(ux + lam * vx, uy + lam * vy), -r, r)
+    fmin, _, _ = _line_min(spec, ux - r * vx, uy - r * vy, 2.0 * r * vx, 2.0 * r * vy)
     return nu - fmin
+
+
+def _line_min(spec: NormSpec, ux, uy, dx, dy):
+    """Minimum of t -> N(u + t*d) over [0, 1] with its minimizer interval.
+
+    Returns (min value, lo, hi).  Smooth gauges here are strictly convex, so
+    the minimizer is the one root of the slope D+(t), run until the bracket
+    cannot shrink, and lo == hi.  Polygonal gauges are minimized exactly as
+    an upper envelope of facet functionals, so their flat minima are
+    resolved rather than smeared by value comparisons.
+    """
+    if spec.normals is not None:
+        return _envelope_min(spec.normals, ux, uy, dx, dy)
+    dplus = spec.dplus
+
+    def slope(t):
+        return dplus(ux + t * dx, uy + t * dy, dx, dy)
+
+    s0 = slope(0.0)
+    if s0 >= 0.0:
+        t = 0.0
+    else:
+        s1 = slope(1.0)
+        t = 1.0 if s1 <= 0.0 else illinois_root(slope, 0.0, 1.0, s0, s1, xtol=0.0)
+    return spec.value(ux + t * dx, uy + t * dy), t, t
+
+
+def _envelope_min(normals, ux, uy, dx, dy):
+    """Exact minimum of t -> max_i <n_i, u + t*d> on [0, 1].
+
+    The restriction of a polygonal gauge to a segment is an upper envelope
+    of affine functions, so its minimum and flat argmin piece sit on
+    pairwise line intersections (or the segment ends); no iteration needed.
+    """
+    lines = [(nx * ux + ny * uy, nx * dx + ny * dy) for nx, ny in normals]
+
+    def envelope(t):
+        return max(al + be * t for al, be in lines)
+
+    cands = [0.0, 1.0]
+    m = len(lines)
+    for i in range(m):
+        ai, bi = lines[i]
+        for j in range(i + 1, m):
+            aj, bj = lines[j]
+            if bi != bj:
+                t = (aj - ai) / (bi - bj)
+                if 0.0 < t < 1.0:
+                    cands.append(t)
+    vals = [envelope(t) for t in cands]
+    best = min(vals)
+    cut = best + 1e-13 * (1.0 if best < 1.0 else best)
+    flat = [t for t, v in zip(cands, vals) if v <= cut]
+    return best, min(flat), max(flat)
 
 
 def _require_smooth(spec: NormSpec):
@@ -431,17 +490,13 @@ def _require_smooth(spec: NormSpec):
 def birkhoff_successor(spec: NormSpec, u) -> UnitPoint:
     """The unique unit point after u (within a half-turn) orthogonal to u.
 
-    Bisects the sign of the directional derivative of ||u + t*s(phi)|| at
-    t=0 over phi in (theta_u, theta_u + pi); requires a smooth, strictly
-    convex gauge.
+    For a smooth, strictly convex gauge it points along the gradient at u
+    turned a quarter turn, (-g_y, g_x), as in `perp_points`.
     """
     _require_smooth(spec)
     up = as_unit_point(spec, u)
     gx, gy = spec.grad(up.x, up.y)
-
-    lo, hi = bisect_predicate(lambda phi: gx * math.cos(phi) + gy * math.sin(phi) > 0.0,
-                              up.theta, up.theta + math.pi)
-    return natural_param(spec, 0.5 * (lo + hi))
+    return natural_param(spec, math.atan2(gx, -gy))
 
 
 def perp_points(spec: NormSpec, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

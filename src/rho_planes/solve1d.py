@@ -1,83 +1,8 @@
-"""One-dimensional solvers used throughout the library.
+"""The one-dimensional root finder used throughout the library.
 
-All solvers are deterministic: pure IEEE-754 arithmetic, no adaptive
-stopping based on timing or iteration noise.  Bisections run until the
-bracket can no longer shrink in floating point (equivalent to the fixed
-80-iteration budget, minus the no-op tail).
+It is deterministic: pure IEEE-754 arithmetic, no adaptive stopping based
+on timing or iteration noise.
 """
-
-import math
-
-MAX_BISECT_ITERS = 80
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-
-
-def golden_min(f, a: float, b: float, width: float = 1e-12):
-    """Minimize a convex (unimodal) f on [a, b] by golden-section search.
-
-    Shrinks the bracket to `width`, then applies a guarded three-point
-    parabolic refinement.  Returns (argmin, min value).
-    """
-    if not b > a:
-        raise ValueError("empty bracket")
-    h = b - a
-    steps = max(0, math.ceil(math.log(width / h) / math.log(_INVPHI))) if h > width else 0
-    x1 = a + _INVPHI2 * h
-    x2 = a + _INVPHI * h
-    f1 = f(x1)
-    f2 = f(x2)
-    for _ in range(steps):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            h = b - a
-            x1 = a + _INVPHI2 * h
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            h = b - a
-            x2 = a + _INVPHI * h
-            f2 = f(x2)
-    if f1 < f2:
-        xm, fm, xl, xr = x1, f1, a, x2
-    else:
-        xm, fm, xl, xr = x2, f2, x1, b
-    # parabola through (xl, f(xl)), (xm, fm), (xr, f(xr)); keep only an
-    # interior vertex that actually improves
-    fl = f(xl)
-    fr = f(xr)
-    best_x, best_f = xm, fm
-    if fl < best_f:
-        best_x, best_f = xl, fl
-    if fr < best_f:
-        best_x, best_f = xr, fr
-    denom = (xm - xl) * (fm - fr) - (xm - xr) * (fm - fl)
-    if denom != 0.0:
-        num = (xm - xl) ** 2 * (fm - fr) - (xm - xr) ** 2 * (fm - fl)
-        xv = xm - 0.5 * num / denom
-        if xl < xv < xr:
-            fv = f(xv)
-            if fv < best_f:
-                best_x, best_f = xv, fv
-    return best_x, best_f
-
-
-def bisect_predicate(pred, lo: float, hi: float, max_iters: int = MAX_BISECT_ITERS) -> tuple[float, float]:
-    """Locate the boundary of a monotone predicate: true on [lo, x*), false after.
-
-    pred(lo) is assumed true and pred(hi) false; neither endpoint is
-    evaluated.  Returns the final (true_side, false_side) bracket.
-    """
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 def illinois_root(f, a: float, b: float, fa: float, fb: float,

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from rho_planes import NormSpec, NumericalError, as_unit_point, natural_param
-from rho_planes.chords import ANTIPODAL_GUARD, _poly_chord_min
-from rho_planes.solve1d import bisect_predicate
+from rho_planes.chords import ANTIPODAL_GUARD
+from rho_planes.norms import _line_min
 
 EUCLID = NormSpec.euclidean()
 QUAD14 = NormSpec.quadratic(1, 0, 4)
@@ -32,6 +32,90 @@ def rng():
 
 
 # -- independent oracles -----------------------------------------------------
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+
+
+def golden_min(f, a, b, width=1e-12):
+    """Minimize a convex (unimodal) f on [a, b] by golden-section search.
+
+    Shrinks the bracket to `width`, then applies a guarded three-point
+    parabolic refinement.  Returns (argmin, min value).  Derivative-free,
+    kept as the oracle for the exact line minimum `rho_planes.norms._line_min`.
+    """
+    if not b > a:
+        raise ValueError("empty bracket")
+    h = b - a
+    steps = max(0, math.ceil(math.log(width / h) / math.log(_INVPHI))) if h > width else 0
+    x1 = a + _INVPHI2 * h
+    x2 = a + _INVPHI * h
+    f1 = f(x1)
+    f2 = f(x2)
+    for _ in range(steps):
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            h = b - a
+            x1 = a + _INVPHI2 * h
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            h = b - a
+            x2 = a + _INVPHI * h
+            f2 = f(x2)
+    if f1 < f2:
+        xm, fm, xl, xr = x1, f1, a, x2
+    else:
+        xm, fm, xl, xr = x2, f2, x1, b
+    # parabola through (xl, f(xl)), (xm, fm), (xr, f(xr)); keep only an
+    # interior vertex that actually improves
+    fl = f(xl)
+    fr = f(xr)
+    best_x, best_f = xm, fm
+    if fl < best_f:
+        best_x, best_f = xl, fl
+    if fr < best_f:
+        best_x, best_f = xr, fr
+    denom = (xm - xl) * (fm - fr) - (xm - xr) * (fm - fl)
+    if denom != 0.0:
+        num = (xm - xl) ** 2 * (fm - fr) - (xm - xr) ** 2 * (fm - fl)
+        xv = xm - 0.5 * num / denom
+        if xl < xv < xr:
+            fv = f(xv)
+            if fv < best_f:
+                best_x, best_f = xv, fv
+    return best_x, best_f
+
+
+def bisect_predicate(pred, lo, hi, max_iters=80):
+    """Locate the boundary of a monotone predicate: true on [lo, x*), false after.
+
+    pred(lo) is assumed true and pred(hi) false; neither endpoint is
+    evaluated.  Runs until the bracket can no longer shrink in floating
+    point and returns the final (true_side, false_side) bracket.
+    """
+    for _ in range(max_iters):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def bisection_successor(spec, u):
+    """Birkhoff successor of u by bisecting the sign of <grad N(u), s(phi)>.
+
+    Bisects over phi in (theta_u, theta_u + pi); the oracle for the closed
+    form in `rho_planes.birkhoff_successor`.
+    """
+    up = as_unit_point(spec, u)
+    gx, gy = spec.grad(up.x, up.y)
+    lo, hi = bisect_predicate(lambda phi: gx * math.cos(phi) + gy * math.sin(phi) > 0.0,
+                              up.theta, up.theta + math.pi)
+    return natural_param(spec, 0.5 * (lo + hi))
 
 
 def grid_min_along(spec, u, d, radius=2.0, n=200001):
@@ -83,7 +167,7 @@ def _chord_supports_at_least(spec, ux, uy, vx, vy, rho):
     dx, dy = vx - ux, vy - uy
     value = spec.value
     if spec.normals is not None:
-        return _poly_chord_min(spec.normals, ux, uy, dx, dy)[0] >= rho
+        return _line_min(spec, ux, uy, dx, dy)[0] >= rho
     dplus = spec.dplus
     d0 = dplus(ux, uy, dx, dy)
     if d0 >= 0.0:

@@ -10,9 +10,11 @@ from rho_planes import (DegenerateChordError, DomainError, NormSpec, UnitPoint,
                         midpoint_check, natural_param, precedes, star_map,
                         wedge)
 
+from rho_planes.norms import _line_min
+
 from conftest import (EUCLID, IPS_SPECS, LP4, LP15, QUAD14, QUAD213, SQUARE,
-                      bisection_star_map, euclid_star_angle, grid_chord_min,
-                      quad_star_oracle, spec_ids)
+                      bisection_star_map, euclid_star_angle, golden_min,
+                      grid_chord_min, quad_star_oracle, spec_ids)
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,6 +173,56 @@ def test_star_map_matches_bisection_oracle(spec, rng):
             got = star_map(spec, u, rho)
             want = bisection_star_map(spec, u, rho)
             assert max(abs(got.x - want.x), abs(got.y - want.y)) <= 1e-13, (theta, rho)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+def test_midpoint_check_matches_chord_min_midpoint(spec, rng):
+    thetas = list(rng.uniform(0.0, TWO_PI, 12)) + list(spec.corner_angles)
+    for rho in (0.05, 0.5, math.cos(math.pi / 5), 0.98):
+        for theta in thetas:
+            u = natural_param(spec, theta)
+            got = midpoint_check(spec, u, rho)
+            want = chord_min(spec, u, star_map(spec, u, rho))
+            assert (got.u, got.v) == (want.u, want.v)
+            assert got.midpoint_norm == want.midpoint_norm, (theta, rho)
+
+
+def _random_segments(spec, rng, count):
+    """Segments u + t*d over t in [0, 1] from unit points u: chords to a
+    second unit point, and random directions and lengths up to 3."""
+    for _ in range(count):
+        a, b = rng.uniform(0.0, TWO_PI, 2)
+        u = natural_param(spec, a)
+        r = rng.uniform(0.1, 3.0)
+        yield u.x, u.y, r * math.cos(b), r * math.sin(b)
+        v = natural_param(spec, b)
+        yield u.x, u.y, v.x - u.x, v.y - u.y
+
+
+SMOOTH_ORACLE = [(s, i) for s, i in zip(ORACLE_SPECS, ORACLE_IDS) if s.smooth]
+POLY_ORACLE = [(s, i) for s, i in zip(ORACLE_SPECS, ORACLE_IDS) if not s.smooth]
+
+
+@pytest.mark.parametrize("spec", [s for s, _ in SMOOTH_ORACLE], ids=[i for _, i in SMOOTH_ORACLE])
+def test_line_min_matches_golden_section_oracle(spec, rng):
+    for ux, uy, dx, dy in _random_segments(spec, rng, 20):
+        if math.hypot(dx, dy) < 1e-6:
+            continue
+        value, lo, hi = _line_min(spec, ux, uy, dx, dy)
+        _, want = golden_min(lambda t: spec.value(ux + t * dx, uy + t * dy), 0.0, 1.0)
+        assert lo == hi
+        assert abs(value - want) <= 1e-14, (ux, uy, dx, dy)
+
+
+@pytest.mark.parametrize("spec", [s for s, _ in POLY_ORACLE], ids=[i for _, i in POLY_ORACLE])
+def test_line_min_matches_grid_oracle_on_polygons(spec, rng):
+    for ux, uy, dx, dy in _random_segments(spec, rng, 10):
+        value, lo, hi = _line_min(spec, ux, uy, dx, dy)
+        want, _ = grid_chord_min(spec, (ux, uy), (ux + dx, uy + dy))
+        assert value <= want + 1e-12
+        assert value == pytest.approx(want, abs=1e-5)
+        for t in (lo, hi):
+            assert spec.value(ux + t * dx, uy + t * dy) == pytest.approx(value, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", [EUCLID, QUAD14, LP4, SQUARE],

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from rho_planes.cli import main
+from rho_planes.cli import _build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -206,3 +206,51 @@ def test_timestamp_present_without_env(monkeypatch, capsys):
                         "--samples", "32"], capsys)
     assert code == 0
     assert "generated_at" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--spec", "euclid", "--rho", "0.5", "--tol", "nan"],
+    ["check", "--spec", "euclid", "--rho", "0.5", "--tol=-1e-9"],
+    ["polygon", "--spec", "euclid", "--kn", "1,5", "--close-tol", "nan"],
+    ["polygon", "--spec", "euclid", "--kn", "1,5", "--close-tol", "inf"],
+    ["sweep", "--spec", "euclid", "--rhos", "nan,0.5"],
+    ["sweep", "--spec", "euclid", "--rhos", "0.5,inf", "--tol", "inf"],
+], ids=["check-tol-nan", "check-tol-negative", "polygon-close-tol-nan",
+        "polygon-close-tol-inf", "sweep-rhos-nan", "sweep-rhos-inf"])
+def test_non_finite_or_negative_tolerances_are_usage_errors(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["error"]["type"] == "usage"
+
+
+def test_overflowing_quadratic_form_is_a_usage_error(capsys):
+    # 4ac overflows to inf and once passed the positive-definite test
+    code, out, err = run(["check", "--spec", "quad:1e308,0,1e308", "--rho", "0.5",
+                          "--samples", "8"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["error"]["type"] == "usage"
+
+
+def test_reused_parser_carries_no_values_between_calls(tmp_path, capsys):
+    calls = [
+        ["check", "--spec", "quad:1,0,4", "--rho", "0.6", "--samples", "16",
+         "--tol", "0.5"],
+        ["polygon", "--spec", "euclid", "--kn", "1,5", "--seed", "0.3",
+         "--close-tol", "1e-6"],
+        ["sweep", "--spec", "euclid", "--spec", "lp:4", "--rhos", "0.5",
+         "--samples", "8", "--format", "csv"],
+        ["render", "--spec", "quad:1,0,4", "--kn", "2,7", "--show-ellipse"],
+        ["check", "--spec", "euclid", "--kn", "1,5"],
+        ["polygon", "--spec", "lp:4", "--rho", "0.7", "--max-steps", "50",
+         "--format", "svg"],
+    ]
+    in_sequence = [run(argv, capsys) for argv in calls]
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(run(argv, capsys))
+    assert in_sequence == alone
+    # the second check records only its own flags, none of the calls before it
+    assert set(json.loads(in_sequence[4][1])["config"]) == {"command", "spec", "kn", "rho"}

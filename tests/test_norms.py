@@ -12,7 +12,8 @@ from rho_planes import (ConfigurationError, DomainError, NormSpec,
                         tangent_check, wedge)
 
 from conftest import (ALL_SPECS, DIAMOND, EUCLID, IPS_SPECS, LP4, QUAD14,
-                      SMOOTH_SPECS, SQUARE, grid_min_along, spec_ids)
+                      SMOOTH_SPECS, SQUARE, bisection_successor, grid_min_along,
+                      spec_ids)
 
 TWO_PI = 2.0 * math.pi
 
@@ -202,6 +203,16 @@ def test_successor_is_order_preserving(spec):
     succ = [birkhoff_successor(spec, natural_param(spec, t)) for t in thetas]
     for a, b in zip(succ, succ[1:]):
         assert precedes(a, b)
+
+
+@pytest.mark.parametrize("spec", SMOOTH_SPECS, ids=spec_ids(SMOOTH_SPECS))
+def test_successor_matches_bisection_oracle(spec, rng):
+    thetas = list(rng.uniform(0.0, TWO_PI, 16)) + [k * math.pi / 4 for k in range(8)]
+    for theta in thetas:
+        u = natural_param(spec, theta)
+        got = birkhoff_successor(spec, u)
+        want = bisection_successor(spec, u)
+        assert max(abs(got.x - want.x), abs(got.y - want.y)) <= 1e-14, theta
 
 
 @pytest.mark.parametrize("spec", SMOOTH_SPECS, ids=spec_ids(SMOOTH_SPECS))
