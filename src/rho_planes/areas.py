@@ -16,6 +16,7 @@ from .errors import DomainError
 from .norms import TWO_PI, NormSpec, as_unit_point, unit_points, wedge
 
 DEFAULT_SAMPLES = 4096
+MAX_SAMPLES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ def sector_area(spec: NormSpec, alpha: float, beta: float,
     if not alpha < beta <= alpha + TWO_PI + 1e-12:
         raise DomainError(f"need alpha < beta <= alpha + 2*pi, got [{alpha}, {beta}]")
     samples = int(samples)
-    if samples < 16:
-        raise DomainError(f"samples must be >= 16, got {samples}")
+    if not 16 <= samples <= MAX_SAMPLES:
+        raise DomainError(f"samples must lie in [16, {MAX_SAMPLES}], got {samples}")
     n = samples - samples % 4  # keep the half and quarter grids aligned
     thetas = np.linspace(alpha, beta, n + 1)
     x, y = unit_points(spec, thetas)

@@ -65,21 +65,16 @@ class ChordFrame:
     right: tuple[float, float]
 
 
-def _as_two_points(spec, u, v):
-    up = as_unit_point(spec, u)
-    vp = as_unit_point(spec, v)
-    if abs(up.x - vp.x) < 1e-15 and abs(up.y - vp.y) < 1e-15:
-        raise DegenerateChordError("chord endpoints coincide")
-    return up, vp
-
-
 def chord_min(spec: NormSpec, u, v) -> ChordReport:
     """Minimum of t -> ||(1-t)u + t*v|| over [0, 1] with its minimizer interval.
 
     The line minimum of `norms._line_min`: a slope root on smooth gauges,
     the exact facet envelope on polygonal ones.
     """
-    up, vp = _as_two_points(spec, u, v)
+    up = as_unit_point(spec, u)
+    vp = as_unit_point(spec, v)
+    if up.coords == vp.coords:  # exact: a fixed tolerance fails on small unit circles
+        raise DegenerateChordError("chord endpoints coincide")
     ux, uy = up.coords
     min_value, lo, hi = _line_min(spec, ux, uy, vp.x - ux, vp.y - uy)
     return ChordReport(up, vp, min_value, lo, hi, _midpoint_norm(spec, up, vp))
@@ -175,19 +170,19 @@ def midpoint_check(spec: NormSpec, u, rho: float) -> MidpointReport:
     """The chord [u, star_map(u)] and the gauge of its midpoint.
 
     The chord supports rho*S by construction, so only its midpoint gauge
-    is needed; no chord minimum is solved.
+    is needed; no chord minimum is solved.  `star_map` checks rho and never
+    returns u itself, so the chord is never degenerate.
     """
-    _check_rho(rho)
     up = as_unit_point(spec, u)
-    up, vp = _as_two_points(spec, up, star_map(spec, up, rho))
+    vp = star_map(spec, up, rho)
     return MidpointReport(up, vp, _midpoint_norm(spec, up, vp))
 
 
 def chord_frame(spec: NormSpec, theta: float, rho: float) -> ChordFrame:
     """Frame of the supporting chord through rho*s(theta): mu and endpoints.
 
-    mu is found by bisection on mu -> ||rho*(s + mu*s_perp)|| - 1, which is
-    convex, negative at 0 and positive at (1 + 1/rho).
+    mu is the `illinois_root` of mu -> ||rho*(s + mu*s_perp)|| - 1, which
+    is convex, negative at 0 and positive at (1 + 1/rho).
     """
     _check_rho(rho)
     _require_smooth(spec)

@@ -138,20 +138,22 @@ _DEFAULTS = {
 }
 
 
+def _parse_kn(kn) -> tuple[int, int]:
+    try:
+        k, n = (int(t) for t in str(kn).split(","))
+    except ValueError:
+        raise UsageError(f"--kn expects 'k,n' integers, got {kn!r}")
+    return k, n
+
+
 def _resolve_rho(conf: dict) -> float:
     rho = conf.get("rho")
     kn = conf.get("kn")
     if rho is not None and kn is not None:
         raise UsageError("give either --rho or --kn, not both")
     if kn is not None:
-        try:
-            k, n = (int(t) for t in str(kn).split(","))
-        except ValueError:
-            raise UsageError(f"--kn expects 'k,n' integers, got {kn!r}")
-        try:
-            rho = rho_from_kn(k, n)
-        except DomainError as exc:
-            raise UsageError(str(exc))
+        k, n = _parse_kn(kn)
+        rho = rho_from_kn(k, n)
         conf["kn"] = f"{k},{n}"
     if rho is None:
         raise UsageError("a rho value is required (--rho or --kn)")
@@ -177,10 +179,7 @@ def _parse_spec(conf: dict) -> NormSpec:
     text = conf.get("spec")
     if not text:
         raise UsageError("--spec is required")
-    try:
-        return NormSpec.parse(text if isinstance(text, str) else text[0])
-    except ConfigurationError as exc:
-        raise UsageError(str(exc))
+    return NormSpec.parse(text if isinstance(text, str) else text[0])
 
 
 def _config_blob(conf: dict) -> str:
@@ -226,10 +225,7 @@ def _cmd_sweep(conf: dict) -> int:
         raise UsageError("sweep needs at least one --spec")
     if isinstance(specs_raw, str):
         specs_raw = [specs_raw]
-    try:
-        specs = [NormSpec.parse(s) for s in specs_raw]
-    except ConfigurationError as exc:
-        raise UsageError(str(exc))
+    specs = [NormSpec.parse(s) for s in specs_raw]
     rhos_raw = conf.get("rhos")
     if not rhos_raw:
         raise UsageError("sweep needs --rhos")
@@ -237,8 +233,8 @@ def _cmd_sweep(conf: dict) -> int:
         rhos = [float(t) for t in str(rhos_raw).split(",")]
     except ValueError:
         raise UsageError(f"--rhos expects comma-separated reals, got {rhos_raw!r}")
-    if not all(math.isfinite(r) for r in rhos):
-        raise UsageError(f"--rhos entries must be finite, got {rhos_raw!r}")
+    if not all(0.0 < r < 1.0 for r in rhos):
+        raise UsageError(f"--rhos entries must lie strictly in (0, 1), got {rhos_raw!r}")
     samples = int(conf.get("samples", _DEFAULTS["samples"]))
     tol = _tolerance(conf, "tol")
     result = sweep(specs, rhos, samples, tol)
@@ -253,6 +249,13 @@ def _cmd_sweep(conf: dict) -> int:
     return EXIT_PROPERTY_FAILURE if result.any_ips_failure else EXIT_OK
 
 
+def _orbit_svg(spec, rho, verts, closed, conf) -> str:
+    """The unit circle, its rho-homothet and an orbit, as an SVG document."""
+    scene = svgmod.sphere_scene(spec, rho)
+    svgmod.add_polygon_layer(scene, verts, closed)
+    return svgmod.render_svg(scene, comment=_config_blob(conf))
+
+
 def _cmd_polygon(conf: dict) -> int:
     spec = _parse_spec(conf)
     rho = _resolve_rho(conf)
@@ -263,10 +266,8 @@ def _cmd_polygon(conf: dict) -> int:
     out = conf.get("out")
     fmt = conf.get("format") or ("svg" if str(out or "").endswith(".svg") else "json")
     if fmt == "svg":
-        scene = svgmod.sphere_scene(spec, rho)
-        svgmod.add_polygon_layer(scene, [v.coords for v in poly.vertices],
-                                 closed=poly.status == "closed")
-        text = svgmod.render_svg(scene, comment=_config_blob(conf))
+        text = _orbit_svg(spec, rho, [v.coords for v in poly.vertices],
+                          poly.status == "closed", conf)
     elif fmt == "json":
         text = _json_doc({"polygon": polygon_to_dict(poly)}, conf)
     else:
@@ -275,16 +276,20 @@ def _cmd_polygon(conf: dict) -> int:
     return EXIT_OK
 
 
+def _supporting_conic(spec, rho, conf):
+    """u at the seed angle, u*, w = (u + u*)/(2*rho) and the conic through them."""
+    u = natural_param(spec, float(conf.get("seed", _DEFAULTS["seed"])))
+    u_star = star_map(spec, u, rho)
+    w = ((u.x + u_star.x) / (2 * rho), (u.y + u_star.y) / (2 * rho))
+    return u, u_star, w, fit_rho_ellipse(u, u_star, rho)
+
+
 def _cmd_ellipse(conf: dict) -> int:
     spec = _parse_spec(conf)
     rho = _resolve_rho(conf)
-    seed = float(conf.get("seed", _DEFAULTS["seed"]))
-    u = natural_param(spec, seed)
-    u_star = star_map(spec, u, rho)
-    conic = fit_rho_ellipse(u, u_star, rho)
+    u, u_star, w, conic = _supporting_conic(spec, rho, conf)
     payload = {"conic": dataclasses.asdict(conic),
-               "u": u.coords, "u_star": u_star.coords,
-               "w": ((u.x + u_star.x) / (2 * rho), (u.y + u_star.y) / (2 * rho))}
+               "u": u.coords, "u_star": u_star.coords, "w": w}
     _emit(_json_doc(payload, conf), conf.get("out"))
     return EXIT_OK
 
@@ -296,10 +301,7 @@ def _cmd_area(conf: dict) -> int:
     alpha = float(conf["alpha"])
     beta = float(conf["beta"])
     samples = int(conf.get("samples", _DEFAULTS["area_samples"]))
-    try:
-        sec = sector_area(spec, alpha, beta, samples)
-    except DomainError as exc:
-        raise UsageError(str(exc))
+    sec = sector_area(spec, alpha, beta, samples)
     _emit(_json_doc({"sector": dataclasses.asdict(sec)}, conf), conf.get("out"))
     return EXIT_OK
 
@@ -309,10 +311,7 @@ def _cmd_probe_even(conf: dict) -> int:
     kn = conf.get("kn")
     if not kn:
         raise UsageError("probe-even needs --kn k,n with even n")
-    try:
-        k, n = (int(t) for t in str(kn).split(","))
-    except ValueError:
-        raise UsageError(f"--kn expects 'k,n' integers, got {kn!r}")
+    k, n = _parse_kn(kn)
     if n % 2 != 0:
         raise UsageError(f"probe-even needs even n, got {n}")
     seed = float(conf.get("seed", _DEFAULTS["seed"]))
@@ -337,21 +336,14 @@ def _cmd_render(conf: dict) -> int:
             closed = record["status"] == "closed"
         except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise UsageError(f"polygon JSON is malformed: {exc}")
-        scene = svgmod.sphere_scene(spec, rho)
-        svgmod.add_polygon_layer(scene, verts, closed)
-        text = svgmod.render_svg(scene, comment=_config_blob(conf))
-        _emit(text, conf.get("out"))
+        _emit(_orbit_svg(spec, rho, verts, closed, conf), conf.get("out"))
         return EXIT_OK
 
     spec = _parse_spec(conf)
     rho = _resolve_rho(conf)
-    seed = float(conf.get("seed", _DEFAULTS["seed"]))
     scene = svgmod.sphere_scene(spec, rho)
     if conf.get("show_ellipse"):
-        u = natural_param(spec, seed)
-        u_star = star_map(spec, u, rho)
-        conic = fit_rho_ellipse(u, u_star, rho)
-        w = ((u.x + u_star.x) / (2 * rho), (u.y + u_star.y) / (2 * rho))
+        u, u_star, w, conic = _supporting_conic(spec, rho, conf)
         svgmod.add_ellipse_layer(scene, conic)
         svgmod.add_marked_points(scene, [(u.x, u.y, "u"), (w[0], w[1], "w"),
                                          (u_star.x, u_star.y, "u*")])
@@ -382,10 +374,7 @@ def main(argv=None) -> int:
         conf = _merge_config(args)
         conf["command"] = args.command
         return _COMMANDS[args.command](conf)
-    except UsageError as exc:
-        _error_json("usage", str(exc))
-        return EXIT_USAGE
-    except (ConfigurationError, DomainError) as exc:
+    except (UsageError, ConfigurationError, DomainError) as exc:
         _error_json("usage", str(exc))
         return EXIT_USAGE
     except (NumericalError, NonClosingError, GeometryError) as exc:

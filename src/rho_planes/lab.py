@@ -15,14 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonClosingError, NumericalError, RhoPlanesError
-from .norms import (TWO_PI, NormSpec, UnitPoint, birkhoff_orthogonality_defect,
-                    natural_param, wedge)
+from .errors import DomainError, NonClosingError, NumericalError, RhoPlanesError
+from .norms import (ORTHO_TOL, TWO_PI, NormSpec, UnitPoint,
+                    birkhoff_orthogonality_defect, natural_param, wedge)
 from .chords import frame_grid, midpoint_check, star_map
 from .polygons import STATUS_CLOSED, RhoPolygon, build_polygon, rho_from_kn
 from .areas import DEFAULT_SAMPLES, sector_area, total_ball_area
 
 DEFAULT_CHECK_SAMPLES = 256
+MAX_CHECK_SAMPLES = 65536
 DEFAULT_CHECK_TOL = 1e-8
 MATCH_TOL = 1e-6
 
@@ -128,8 +129,7 @@ def check_midpoint_property(spec: NormSpec, rho: float,
     corner-adjacent chords of polygonal gauges are never missed.  Solver
     failures are recorded per-seed in the notes instead of aborting.
     """
-    if samples < 8:
-        raise RhoPlanesError(f"need at least 8 samples, got {samples}")
+    _check_samples(samples)
     thetas = sorted({(TWO_PI * j) / samples for j in range(samples)} | set(_AXIS_ANGLES))
     worst = -1.0
     worst_theta = 0.0
@@ -151,6 +151,11 @@ def check_midpoint_property(spec: NormSpec, rho: float,
                           worst <= tol, tol, notes)
 
 
+def _check_samples(samples: int) -> None:
+    if not 8 <= samples <= MAX_CHECK_SAMPLES:
+        raise DomainError(f"samples must lie in [8, {MAX_CHECK_SAMPLES}], got {samples}")
+
+
 def _closed_or_raise(spec, seed, rho, what) -> RhoPolygon:
     poly = build_polygon(spec, seed, rho)
     if poly.status != STATUS_CLOSED:
@@ -160,12 +165,12 @@ def _closed_or_raise(spec, seed, rho, what) -> RhoPolygon:
     return poly
 
 
-def _consecutive_sectors(spec, vertices, samples) -> list[float]:
+def _consecutive_sectors(spec, vertices) -> list[float]:
     out = []
     for i, a in enumerate(vertices):
         b = vertices[(i + 1) % len(vertices)]
         gap = (b.theta - a.theta) % TWO_PI
-        out.append(sector_area(spec, a.theta, a.theta + gap, samples).value)
+        out.append(sector_area(spec, a.theta, a.theta + gap).value)
     return out
 
 
@@ -175,14 +180,14 @@ def _set_distance(points_a, points_b) -> float:
                for a in points_a)
 
 
-def _partition(spec, vertices, rho, samples) -> SectorPartition:
+def _partition(spec, vertices, rho) -> SectorPartition:
     boundary = sorted(vertices, key=lambda p: p.theta)
-    areas = _consecutive_sectors(spec, boundary, samples)
+    areas = _consecutive_sectors(spec, boundary)
     return SectorPartition(rho, boundary, areas, max(areas) - min(areas))
 
 
-def sector_partition_suite(spec: NormSpec, rho: float, seed_theta: float,
-                           samples: int = DEFAULT_SAMPLES) -> PartitionSuiteReport:
+def sector_partition_suite(spec: NormSpec, rho: float,
+                           seed_theta: float) -> PartitionSuiteReport:
     """Equal-wedge, equal-sector and 2n-partition checks for a closed orbit.
 
     Builds the orbit of the seed, its antipodal orbit, and the orbit of the
@@ -196,10 +201,10 @@ def sector_partition_suite(spec: NormSpec, rho: float, seed_theta: float,
     n = pv.n
 
     wedges = [wedge(vs[i], vs[(i + 1) % n]) for i in range(n)]
-    sectors = _consecutive_sectors(spec, vs, samples)
+    sectors = _consecutive_sectors(spec, vs)
 
     neg = _closed_or_raise(spec, vs[0].negated(), rho, "antipodal orbit")
-    partition = _partition(spec, vs + neg.vertices, rho, samples)
+    partition = _partition(spec, vs + neg.vertices, rho)
 
     wx = (vs[0].x + vs[1].x) / (2.0 * rho)
     wy = (vs[0].y + vs[1].y) / (2.0 * rho)
@@ -220,7 +225,7 @@ def sector_partition_suite(spec: NormSpec, rho: float, seed_theta: float,
     notes = "" if match <= MATCH_TOL else (
         f"midpoint orbit matches neither seed orbit within {MATCH_TOL}")
 
-    ball = total_ball_area(spec, samples)
+    ball = total_ball_area(spec)
     return PartitionSuiteReport(
         spec.spec_id, rho, seed.theta, n, pv.k,
         max(wedges) - min(wedges), sectors, max(sectors) - min(sectors),
@@ -239,7 +244,7 @@ def frame_identities(spec: NormSpec, rho: float, alpha: float, beta: float,
     pointwise, so residuals measure defects of the frame fields themselves.
     """
     if not alpha < beta <= alpha + TWO_PI + 1e-12:
-        raise RhoPlanesError(f"need alpha < beta <= alpha + 2*pi, got [{alpha}, {beta}]")
+        raise DomainError(f"need alpha < beta <= alpha + 2*pi, got [{alpha}, {beta}]")
     thetas = np.linspace(alpha, beta, int(samples) + 1)
     sx, sy, tx, ty, mu = frame_grid(spec, thetas, rho)
     fx, fy = mu * tx, mu * ty
@@ -257,8 +262,7 @@ def frame_identities(spec: NormSpec, rho: float, alpha: float, beta: float,
     return abs(r1), abs(r2), abs(r3)
 
 
-def even_probe(spec: NormSpec, k: int, n: int, seed_theta: float,
-               samples: int = DEFAULT_SAMPLES) -> EvenProbeRecord:
+def even_probe(spec: NormSpec, k: int, n: int, seed_theta: float) -> EvenProbeRecord:
     """Evidence for the open even-n case: symmetry facts plus sector spread.
 
     Verifies the provable parts (the seed orbit equals its antipodal orbit,
@@ -267,9 +271,9 @@ def even_probe(spec: NormSpec, k: int, n: int, seed_theta: float,
     without asserting a verdict.
     """
     if n % 2 != 0:
-        raise RhoPlanesError(f"even probe needs an even vertex count, got n={n}")
+        raise DomainError(f"even probe needs an even vertex count, got n={n}")
     rho = rho_from_kn(k, n)
-    ball = total_ball_area(spec, samples)
+    ball = total_ball_area(spec)
     notes = []
 
     pv = build_polygon(spec, natural_param(spec, seed_theta), rho)
@@ -293,19 +297,18 @@ def even_probe(spec: NormSpec, k: int, n: int, seed_theta: float,
 
     disjoint = min(min(math.hypot(a.x - b.x, a.y - b.y) for b in pw.vertices)
                    for a in pv.vertices)
-    part = _partition(spec, pv.vertices + pw.vertices, rho, samples)
+    part = _partition(spec, pv.vertices + pw.vertices, rho)
     return EvenProbeRecord(spec.spec_id, k, n, rho, seed_theta,
                            pv.status, pv.n, anti, pw.status, w_defect,
                            disjoint, len(part.areas), part.spread,
                            sum(part.areas), ball, "; ".join(notes))
 
 
-def scan_self_tangency(spec: NormSpec, rho: float, samples: int = 64,
-                       tol: float = 1e-9) -> SelfTangencyScan:
+def scan_self_tangency(spec: NormSpec, rho: float, samples: int = 64) -> SelfTangencyScan:
     """Search a grid for a unit point where the supporting-line condition holds.
 
     Reports the smallest Birkhoff defect of u against (1-2*rho^2)u + u* and
-    whether it clears the tolerance; "not found below tolerance" is a valid
+    whether it clears ORTHO_TOL; "not found below tolerance" is a valid
     outcome for norms without the midpoint-support property.
     """
     coef = 1.0 - 2.0 * rho * rho
@@ -318,7 +321,7 @@ def scan_self_tangency(spec: NormSpec, rho: float, samples: int = 64,
         defect = abs(birkhoff_orthogonality_defect(spec, u, d))
         if defect < best:
             best, best_theta = defect, theta
-    return SelfTangencyScan(best <= tol, best_theta, best, tol)
+    return SelfTangencyScan(best <= ORTHO_TOL, best_theta, best, ORTHO_TOL)
 
 
 @dataclass(frozen=True)
@@ -340,7 +343,8 @@ def sweep(specs: list[NormSpec], rhos: list[float],
           tol: float = DEFAULT_CHECK_TOL) -> SweepResult:
     """Midpoint-property reports for every (spec, rho) cell, spec-major order."""
     if not specs or not rhos:
-        raise RhoPlanesError("sweep needs at least one spec and one rho")
+        raise DomainError("sweep needs at least one spec and one rho")
+    _check_samples(samples)  # before the cells, which turn errors into rows
     reports = []
     for spec in specs:
         for rho in rhos:

@@ -134,7 +134,8 @@ class NormSpec:
             # the gauge and its gradient on the unit box would overflow
             raise ConfigurationError(
                 f"quadratic coefficients {a}, {b}, {c} are too large")
-        if not (a > 0.0 and 4.0 * a * c - b * b > 0.0):
+        s = max(a, abs(b), c)  # unscaled, 4ac - b^2 over- or underflows on valid forms
+        if not (a > 0.0 and 4.0 * (a / s) * (c / s) - (b / s) ** 2 > 0.0):
             raise ConfigurationError(
                 f"quadratic form {a}x^2+{b}xy+{c}y^2 is not positive definite")
 
@@ -388,7 +389,7 @@ def precedes(u, v) -> bool:
     return ux * vy - uy * vx > 0.0
 
 
-def as_unit_point(spec: NormSpec, v, unit_tol: float = UNIT_TOL) -> UnitPoint:
+def as_unit_point(spec: NormSpec, v) -> UnitPoint:
     """Coerce a plane point to a UnitPoint, checking it lies on the unit circle."""
     if isinstance(v, UnitPoint):
         return v
@@ -396,7 +397,7 @@ def as_unit_point(spec: NormSpec, v, unit_tol: float = UNIT_TOL) -> UnitPoint:
     n = spec.value(x, y)
     if n == 0.0:
         raise DomainError("zero vector is not on the unit circle")
-    if abs(n - 1.0) > unit_tol:
+    if abs(n - 1.0) > UNIT_TOL:
         raise DomainError(f"point {(x, y)} has gauge {n}, not on the unit circle")
     return UnitPoint(math.atan2(y, x) % TWO_PI, (x, y))
 

@@ -81,8 +81,7 @@ def closure_ratios(m_max: int) -> list[ClosureRatio]:
 
 
 def build_polygon(spec: NormSpec, u, rho: float, max_steps: int = DEFAULT_MAX_STEPS,
-                  close_tol: float = DEFAULT_CLOSE_TOL,
-                  cluster_radius: float | None = None) -> RhoPolygon:
+                  close_tol: float = DEFAULT_CLOSE_TOL) -> RhoPolygon:
     """Iterate the star map until the orbit returns to its seed or the budget ends.
 
     Closure requires the candidate vertex n+1 within close_tol of the seed
@@ -91,15 +90,13 @@ def build_polygon(spec: NormSpec, u, rho: float, max_steps: int = DEFAULT_MAX_ST
     true closure stays at solver-noise level.
 
     For a non-closing orbit the accumulation set is estimated by a fixed-
-    radius single-linkage pass over the final 20% of vertices.  The radius
-    must exceed the spacing of consecutive returns, which for orbits
-    attracted to a gauge corner shrinks only algebraically; 1e-5 covers
-    the slowest tails seen at the default step budget.
+    radius single-linkage pass over the final 20% of vertices.  The radius,
+    max(10*close_tol, 1e-5), must exceed the spacing of consecutive returns,
+    which for orbits attracted to a gauge corner shrinks only algebraically;
+    1e-5 covers the slowest tails seen at the default step budget.
     """
     if max_steps < 3:
         raise DomainError(f"max_steps must be >= 3, got {max_steps}")
-    if cluster_radius is None:
-        cluster_radius = max(10.0 * close_tol, 1e-5)
     seed = as_unit_point(spec, u)
     verts = [seed]
     turning = 0.0
@@ -125,7 +122,7 @@ def build_polygon(spec: NormSpec, u, rho: float, max_steps: int = DEFAULT_MAX_ST
         verts.append(nxt)
 
     tail = verts[int(0.8 * len(verts)):]
-    clusters = _cluster(tail, cluster_radius)
+    clusters = _cluster(tail, max(10.0 * close_tol, 1e-5))
     return RhoPolygon(rho, verts, STATUS_NON_CLOSING, turning, steps,
                       accumulation_points=clusters)
 

@@ -4,9 +4,11 @@ It is deterministic: pure IEEE-754 arithmetic, no adaptive stopping based
 on timing or iteration noise.
 """
 
+MAX_ITERS = 120
+
 
 def illinois_root(f, a: float, b: float, fa: float, fb: float,
-                  xtol: float = 1e-15, max_iters: int = 120) -> float:
+                  xtol: float = 1e-15) -> float:
     """Root of a (possibly discontinuous) sign-changing f on [a, b].
 
     Regula falsi with the Illinois weighting, guarded so each step stays
@@ -14,7 +16,7 @@ def illinois_root(f, a: float, b: float, fa: float, fb: float,
     degenerates.  Requires fa < 0 < fb.
     """
     side = 0
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         denom = fb - fa
         x = 0.5 * (a + b) if denom == 0.0 else b - fb * (b - a) / denom
         if not a < x < b:

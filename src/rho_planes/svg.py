@@ -18,6 +18,7 @@ CANVAS = 800
 VIEW_HALF = 1.3
 CURVE_POINTS = 512
 VERTEX_RADIUS = 0.012
+LABEL_SIZE = 18
 
 _LAYER_ORDER = {"sphere": 0, "homothet": 1, "ellipse": 2, "polygon": 3, "labels": 4}
 
@@ -39,14 +40,12 @@ class Markers:
     layer: str
     points: list[tuple[float, float]]
     fill: str = "#000000"
-    radius: float = VERTEX_RADIUS
 
 
 @dataclass(frozen=True)
 class Labels:
     items: list[tuple[float, float, str]]
     fill: str = "#000000"
-    size: int = 18
 
 
 @dataclass
@@ -60,17 +59,16 @@ def _px(x: float, y: float) -> tuple[float, float]:
     return (x + VIEW_HALF) * _SCALE, (VIEW_HALF - y) * _SCALE
 
 
-def circle_points(spec: NormSpec, scale: float = 1.0,
-                  n: int = CURVE_POINTS) -> list[tuple[float, float]]:
-    thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+def circle_points(spec: NormSpec, scale: float = 1.0) -> list[tuple[float, float]]:
+    thetas = np.linspace(0.0, 2.0 * math.pi, CURVE_POINTS, endpoint=False)
     x, y = unit_points(spec, thetas)
     return [(scale * float(a), scale * float(b)) for a, b in zip(x, y)]
 
 
-def conic_points(conic: ConicForm, n: int = CURVE_POINTS) -> list[tuple[float, float]]:
+def conic_points(conic: ConicForm) -> list[tuple[float, float]]:
     pts = []
-    for i in range(n):
-        theta = 2.0 * math.pi * i / n
+    for i in range(CURVE_POINTS):
+        theta = 2.0 * math.pi * i / CURVE_POINTS
         r = conic_radius(conic, theta)
         pts.append((r * math.cos(theta), r * math.sin(theta)))
     return pts
@@ -104,8 +102,8 @@ def render_svg(scene: Scene, comment: str | None = None) -> str:
                           f'<{tag} points="{coords}" fill="none" '
                           f'stroke="{curve.stroke}" stroke-width="{curve.width}"{dash}/>'))
         seq += 1
+    r = VERTEX_RADIUS * _SCALE
     for marks in scene.markers:
-        r = marks.radius * _SCALE
         for x, y in marks.points:
             px, py = _px(x, y)
             drawables.append((_LAYER_ORDER[marks.layer], seq,
@@ -117,7 +115,7 @@ def render_svg(scene: Scene, comment: str | None = None) -> str:
             px, py = _px(x, y)
             drawables.append((_LAYER_ORDER["labels"], seq,
                               f'<text x="{px:.3f}" y="{py:.3f}" font-family="sans-serif" '
-                              f'font-size="{labels.size}" fill="{labels.fill}">{text}</text>'))
+                              f'font-size="{LABEL_SIZE}" fill="{labels.fill}">{text}</text>'))
             seq += 1
 
     drawables.sort(key=lambda d: (d[0], d[1]))

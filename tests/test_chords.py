@@ -59,6 +59,16 @@ def test_chord_min_degenerate_rejected():
         chord_min(EUCLID, (1, 0), (1, 0))
 
 
+def test_chord_min_on_a_small_unit_circle():
+    # unit radius 1e-100: distinct endpoints lie far closer than 1e-15
+    spec = NormSpec.quadratic(1e200, 0, 1e200)
+    u, v = natural_param(spec, 0.3), natural_param(spec, 1.7)
+    rep = chord_min(spec, u, v)
+    assert math.isfinite(rep.min_value)
+    assert rep.min_value == pytest.approx(math.cos(0.7), abs=1e-12)
+    assert rep.midpoint_norm == pytest.approx(math.cos(0.7), abs=1e-12)
+
+
 @pytest.mark.parametrize("spec", IPS_SPECS, ids=spec_ids(IPS_SPECS))
 def test_chord_argmin_collapses_on_strictly_convex(spec, rng):
     for _ in range(25):

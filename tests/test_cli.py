@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+from rho_planes import (NormSpec, RhoPlanesError, build_polygon, even_probe,
+                        rho_from_kn, sector_area)
 from rho_planes.cli import _build_parser, main
 
 
@@ -254,3 +256,69 @@ def test_reused_parser_carries_no_values_between_calls(tmp_path, capsys):
     assert in_sequence == alone
     # the second check records only its own flags, none of the calls before it
     assert set(json.loads(in_sequence[4][1])["config"]) == {"command", "spec", "kn", "rho"}
+
+
+def _library_message(call):
+    with pytest.raises(RhoPlanesError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("argv, call", [
+    (["check", "--spec", "nope", "--rho", "0.5"], lambda: NormSpec.parse("nope")),
+    (["sweep", "--spec", "nope", "--rhos", "0.5"], lambda: NormSpec.parse("nope")),
+    (["check", "--spec", "euclid", "--kn", "3,4"], lambda: rho_from_kn(3, 4)),
+    (["probe-even", "--spec", "euclid", "--kn", "3,4"],
+     lambda: even_probe(NormSpec.euclidean(), 3, 4, 0.0)),
+    (["area", "--spec", "euclid", "--alpha", "0", "--beta", "9"],
+     lambda: sector_area(NormSpec.euclidean(), 0.0, 9.0)),
+    (["polygon", "--spec", "euclid", "--rho", "0.5", "--max-steps", "2"],
+     lambda: build_polygon(NormSpec.euclidean(), (1, 0), 0.5, 2)),
+], ids=["check-spec", "sweep-spec", "check-kn", "probe-even-kn", "area-range",
+        "polygon-max-steps"])
+def test_library_errors_reach_the_usage_record_unchanged(argv, call, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": {"type": "usage",
+                                         "message": _library_message(call)}}
+
+
+@pytest.mark.parametrize("spec", ["quad:4e307,1e307,1e307", "quad:1e-300,0,1e-300",
+                                  "quad:1e200,0,1e200"])
+def test_extreme_but_valid_quadratic_forms_pass_check(spec, capsys):
+    code, out, _ = run(["check", "--spec", spec, "--rho", "0.5", "--samples", "8"], capsys)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["pass"] is True
+    assert report["max_dev"] <= 1e-14
+
+
+def test_overflowing_quadratic_form_fails_the_overflow_check(capsys):
+    code, _, err = run(["check", "--spec", "quad:1e308,0,1e308", "--rho", "0.5",
+                        "--samples", "8"], capsys)
+    assert code == 2
+    assert "too large" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("rhos", ["2.0,0.5", "0.5,1.0", "0,0.5", "-0.5"])
+def test_sweep_rhos_outside_the_open_unit_interval_are_usage_errors(rhos, capsys):
+    code, out, err = run(["sweep", "--spec", "euclid", "--rhos", rhos,
+                          "--format", "csv"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--spec", "euclid", "--rho", "0.5", "--samples", "4"],
+    ["check", "--spec", "euclid", "--rho", "0.5", "--samples", "65537"],
+    ["sweep", "--spec", "euclid", "--rhos", "0.5", "--samples", "4"],
+    ["sweep", "--spec", "euclid", "--rhos", "0.5", "--samples", "65537"],
+    ["area", "--spec", "euclid", "--alpha", "0", "--beta", "1", "--samples", "1048577"],
+], ids=["check-4", "check-cap+1", "sweep-4", "sweep-cap+1", "area-cap+1"])
+def test_out_of_range_sample_counts_are_usage_errors(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "usage"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rho_planes import (NonClosingError, NormSpec, RhoPlanesError,
+from rho_planes import (DomainError, NonClosingError, NormSpec, RhoPlanesError,
                         check_midpoint_property, even_probe, frame_identities,
                         rho_from_kn, scan_self_tangency,
                         sector_partition_suite, sweep, sweep_to_csv,
@@ -141,6 +141,20 @@ def test_even_probe_lp4_non_closing_is_reported():
 def test_even_probe_rejects_odd_n():
     with pytest.raises(RhoPlanesError):
         even_probe(EUCLID, 1, 5, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_midpoint_property(EUCLID, 0.5, 4),
+    lambda: check_midpoint_property(EUCLID, 0.5, 65537),
+    lambda: sweep([EUCLID], [0.5], samples=4),
+    lambda: sweep([], [0.5]),
+    lambda: frame_identities(EUCLID, 0.5, 1.0, 0.5),
+    lambda: even_probe(EUCLID, 1, 5, 0.0),
+], ids=["check-samples-4", "check-samples-cap+1", "sweep-samples-4", "sweep-no-spec",
+        "identities-empty-range", "even-probe-odd-n"])
+def test_out_of_domain_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_self_tangency_scan():

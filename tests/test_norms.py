@@ -45,6 +45,22 @@ def test_invalid_specs_rejected():
         NormSpec.polygon([(1, 0), (0, 1), (0.25, 0.25)])  # interior point
 
 
+@pytest.mark.parametrize("abc", [(4e307, 1e307, 1e307), (1e-300, 0, 1e-300),
+                                 (1e200, -1e200, 1e200)])
+def test_positive_definite_forms_at_extreme_scales_accepted(abc):
+    # 4ac - b^2 overflows (NaN) or underflows (0) unless the form is scaled first
+    spec = NormSpec.quadratic(*abc)
+    u = natural_param(spec, 0.7)
+    assert spec.value(*u.coords) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("abc", [(1e300, 3e300, 1e300), (1e-300, 3e-300, 1e-300),
+                                 (1, 2, 1), (1, 0, 0), (0, 0, 1)])
+def test_forms_that_are_not_positive_definite_rejected_at_any_scale(abc):
+    with pytest.raises(ConfigurationError, match="not positive definite"):
+        NormSpec.quadratic(*abc)
+
+
 def test_polygon_symmetrization_and_order():
     # one half suffices; closure under v -> -v is automatic
     half = NormSpec.polygon([(1, 1), (-1, 1)])
