@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Commands: check, polygon, ellipse, area, sweep, probe-even, render.
-Flags may be combined with a JSON config file (flags win); the effective
-config is embedded in every output.  Exit codes: 0 success, 1 property
-failure on an inner-product family, 2 usage error, 3 numerical error.
-All errors are also emitted as structured JSON on stderr.
+Flags may be combined with a JSON config file (flags win).  Its keys are
+flag names with `_` for `-`, and each entry is parsed as that flag, with
+the flag's type and choices; a key that names no flag of the command is a
+usage error.  `--format` exists only on polygon (json, svg) and sweep
+(json, csv).  The effective config is embedded in every output.  Exit
+codes: 0 success, 1 property failure on an inner-product family, 2 usage
+error, 3 numerical error (also when every seed of a check fails).  All
+errors are also emitted as structured JSON on stderr.
 """
 
 import argparse
@@ -57,7 +61,6 @@ def _build_parser() -> _Parser:
                            help="norm spec string (repeatable)")
         p.add_argument("--config", default=None, help="JSON config file; flags win")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", default=None, choices=("json", "csv", "svg"))
 
     p = sub.add_parser("check", help="midpoint-support property check")
     common(p)
@@ -73,6 +76,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=float, default=None, help="seed angle")
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--close-tol", type=float, default=None)
+    p.add_argument("--format", default=None, choices=("json", "svg"))
 
     p = sub.add_parser("ellipse", help="fit the supporting conic at a seed")
     common(p)
@@ -91,6 +95,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rhos", default=None, help="comma-separated rho list")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--format", default=None, choices=("json", "csv"))
 
     p = sub.add_parser("probe-even", help="evidence probe for even vertex counts")
     common(p)
@@ -108,24 +113,40 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _config_argv(command: str, path: str) -> list[str]:
+    """The config file as flags: `key: value` is `--key-with-dashes=value`.
+
+    A list repeats the flag, `true` gives the bare flag and `false` leaves it off.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            file_conf = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}")
+    if not isinstance(file_conf, dict):
+        raise UsageError("config file must hold a JSON object")
+    argv = [command]
+    for key, value in file_conf.items():
+        flag = "--" + key.replace("_", "-")
+        for item in value if isinstance(value, list) else [value]:
+            if item is True:
+                argv.append(flag)
+            elif item is not False:
+                argv.append(f"{flag}={item}")
+    return argv
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Flags win over config-file entries, which win over built-in defaults."""
-    merged = {}
+    """Flags win over config-file entries (parsed as flags), which win over defaults."""
+    layers = [args]
     if args.config:
+        argv = _config_argv(args.command, args.config)
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {args.config}: {exc}")
-        if not isinstance(file_conf, dict):
-            raise UsageError("config file must hold a JSON object")
-        merged.update(file_conf)
-    for key, value in vars(args).items():
-        if key == "config" or value is None:
-            continue
-        merged[key] = value
-    merged.pop("config", None)
-    return merged
+            layers.insert(0, _build_parser().parse_args(argv))
+        except UsageError as exc:
+            raise UsageError(f"config file {args.config}: {exc}")
+    return {key: value for layer in layers for key, value in vars(layer).items()
+            if key != "config" and value is not None}
 
 
 _DEFAULTS = {
@@ -140,7 +161,7 @@ _DEFAULTS = {
 
 def _parse_kn(kn) -> tuple[int, int]:
     try:
-        k, n = (int(t) for t in str(kn).split(","))
+        k, n = (int(t) for t in kn.split(","))
     except ValueError:
         raise UsageError(f"--kn expects 'k,n' integers, got {kn!r}")
     return k, n
@@ -165,13 +186,9 @@ def _resolve_rho(conf: dict) -> float:
 
 def _tolerance(conf: dict, key: str) -> float:
     """A tolerance from the flags or config: a finite real >= 0, else a usage error."""
-    raw = conf.get(key, _DEFAULTS[key])
-    try:
-        tol = float(raw)
-    except (TypeError, ValueError):
-        tol = math.nan
+    tol = conf.get(key, _DEFAULTS[key])
     if not (math.isfinite(tol) and tol >= 0.0):
-        raise UsageError(f"--{key.replace('_', '-')} must be a finite real >= 0, got {raw!r}")
+        raise UsageError(f"--{key.replace('_', '-')} must be a finite real >= 0, got {tol!r}")
     return tol
 
 
@@ -179,7 +196,7 @@ def _parse_spec(conf: dict) -> NormSpec:
     text = conf.get("spec")
     if not text:
         raise UsageError("--spec is required")
-    return NormSpec.parse(text if isinstance(text, str) else text[0])
+    return NormSpec.parse(text)
 
 
 def _config_blob(conf: dict) -> str:
@@ -210,7 +227,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_check(conf: dict) -> int:
     spec = _parse_spec(conf)
     rho = _resolve_rho(conf)
-    samples = int(conf.get("samples", _DEFAULTS["samples"]))
+    samples = conf.get("samples", _DEFAULTS["samples"])
     tol = _tolerance(conf, "tol")
     report = check_midpoint_property(spec, rho, samples, tol)
     _emit(_json_doc({"report": report.to_dict()}, conf), conf.get("out"))
@@ -220,31 +237,24 @@ def _cmd_check(conf: dict) -> int:
 
 
 def _cmd_sweep(conf: dict) -> int:
-    specs_raw = conf.get("spec")
-    if not specs_raw:
-        raise UsageError("sweep needs at least one --spec")
-    if isinstance(specs_raw, str):
-        specs_raw = [specs_raw]
-    specs = [NormSpec.parse(s) for s in specs_raw]
+    specs = [NormSpec.parse(s) for s in conf.get("spec", ())]
     rhos_raw = conf.get("rhos")
     if not rhos_raw:
         raise UsageError("sweep needs --rhos")
     try:
-        rhos = [float(t) for t in str(rhos_raw).split(",")]
+        rhos = [float(t) for t in rhos_raw.split(",")]
     except ValueError:
         raise UsageError(f"--rhos expects comma-separated reals, got {rhos_raw!r}")
     if not all(0.0 < r < 1.0 for r in rhos):
         raise UsageError(f"--rhos entries must lie strictly in (0, 1), got {rhos_raw!r}")
-    samples = int(conf.get("samples", _DEFAULTS["samples"]))
+    samples = conf.get("samples", _DEFAULTS["samples"])
     tol = _tolerance(conf, "tol")
     result = sweep(specs, rhos, samples, tol)
     fmt = conf.get("format") or ("csv" if str(conf.get("out", "")).endswith(".csv") else "json")
     if fmt == "csv":
         text = sweep_to_csv(result, comment="config: " + _config_blob(conf))
-    elif fmt == "json":
-        text = sweep_to_json(result, config=conf)
     else:
-        raise UsageError("sweep emits json or csv")
+        text = sweep_to_json(result, config=conf)
     _emit(text, conf.get("out"))
     return EXIT_PROPERTY_FAILURE if result.any_ips_failure else EXIT_OK
 
@@ -259,8 +269,8 @@ def _orbit_svg(spec, rho, verts, closed, conf) -> str:
 def _cmd_polygon(conf: dict) -> int:
     spec = _parse_spec(conf)
     rho = _resolve_rho(conf)
-    seed = float(conf.get("seed", _DEFAULTS["seed"]))
-    max_steps = int(conf.get("max_steps", _DEFAULTS["max_steps"]))
+    seed = conf.get("seed", _DEFAULTS["seed"])
+    max_steps = conf.get("max_steps", _DEFAULTS["max_steps"])
     close_tol = _tolerance(conf, "close_tol")
     poly = build_polygon(spec, natural_param(spec, seed), rho, max_steps, close_tol)
     out = conf.get("out")
@@ -268,17 +278,15 @@ def _cmd_polygon(conf: dict) -> int:
     if fmt == "svg":
         text = _orbit_svg(spec, rho, [v.coords for v in poly.vertices],
                           poly.status == "closed", conf)
-    elif fmt == "json":
-        text = _json_doc({"polygon": polygon_to_dict(poly)}, conf)
     else:
-        raise UsageError("polygon emits json or svg")
+        text = _json_doc({"polygon": polygon_to_dict(poly)}, conf)
     _emit(text, out)
     return EXIT_OK
 
 
 def _supporting_conic(spec, rho, conf):
     """u at the seed angle, u*, w = (u + u*)/(2*rho) and the conic through them."""
-    u = natural_param(spec, float(conf.get("seed", _DEFAULTS["seed"])))
+    u = natural_param(spec, conf.get("seed", _DEFAULTS["seed"]))
     u_star = star_map(spec, u, rho)
     w = ((u.x + u_star.x) / (2 * rho), (u.y + u_star.y) / (2 * rho))
     return u, u_star, w, fit_rho_ellipse(u, u_star, rho)
@@ -298,10 +306,8 @@ def _cmd_area(conf: dict) -> int:
     spec = _parse_spec(conf)
     if conf.get("alpha") is None or conf.get("beta") is None:
         raise UsageError("area needs --alpha and --beta")
-    alpha = float(conf["alpha"])
-    beta = float(conf["beta"])
-    samples = int(conf.get("samples", _DEFAULTS["area_samples"]))
-    sec = sector_area(spec, alpha, beta, samples)
+    samples = conf.get("samples", _DEFAULTS["area_samples"])
+    sec = sector_area(spec, conf["alpha"], conf["beta"], samples)
     _emit(_json_doc({"sector": dataclasses.asdict(sec)}, conf), conf.get("out"))
     return EXIT_OK
 
@@ -312,10 +318,7 @@ def _cmd_probe_even(conf: dict) -> int:
     if not kn:
         raise UsageError("probe-even needs --kn k,n with even n")
     k, n = _parse_kn(kn)
-    if n % 2 != 0:
-        raise UsageError(f"probe-even needs even n, got {n}")
-    seed = float(conf.get("seed", _DEFAULTS["seed"]))
-    record = even_probe(spec, k, n, seed)
+    record = even_probe(spec, k, n, conf.get("seed", _DEFAULTS["seed"]))
     _emit(_json_doc({"even_probe": dataclasses.asdict(record)}, conf), conf.get("out"))
     return EXIT_OK
 
@@ -331,8 +334,8 @@ def _cmd_render(conf: dict) -> int:
         try:
             record = doc["polygon"]
             spec = NormSpec.parse(doc["config"]["spec"])
-            rho = float(record["rho"])
-            verts = [(x, y) for _, x, y in record["vertices"]]
+            rho = _resolve_rho({"rho": float(record["rho"])})
+            verts = [(float(x), float(y)) for _, x, y in record["vertices"]]
             closed = record["status"] == "closed"
         except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise UsageError(f"polygon JSON is malformed: {exc}")

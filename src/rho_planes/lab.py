@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonClosingError, NumericalError, RhoPlanesError
+from .errors import DomainError, NonClosingError, NumericalError
 from .norms import (ORTHO_TOL, TWO_PI, NormSpec, UnitPoint,
                     birkhoff_orthogonality_defect, natural_param, wedge)
 from .chords import frame_grid, midpoint_check, star_map
@@ -127,9 +127,11 @@ def check_midpoint_property(spec: NormSpec, rho: float,
 
     Seeds form a uniform angle grid plus the eight axis/diagonal angles, so
     corner-adjacent chords of polygonal gauges are never missed.  Solver
-    failures are recorded per-seed in the notes instead of aborting.
+    failures are recorded per-seed in the notes instead of aborting; when
+    every seed fails, NumericalError is raised rather than a vacuous report.
     """
-    _check_samples(samples)
+    if not 8 <= samples <= MAX_CHECK_SAMPLES:
+        raise DomainError(f"samples must lie in [8, {MAX_CHECK_SAMPLES}], got {samples}")
     thetas = sorted({(TWO_PI * j) / samples for j in range(samples)} | set(_AXIS_ANGLES))
     worst = -1.0
     worst_theta = 0.0
@@ -143,17 +145,11 @@ def check_midpoint_property(spec: NormSpec, rho: float,
         dev = abs(report.midpoint_norm - rho)
         if dev > worst:
             worst, worst_theta = dev, theta
-    notes = "; ".join(failures)
     if worst < 0.0:  # every seed failed: never report a vacuous pass
-        return PropertyReport(spec.spec_id, rho, len(thetas), math.inf,
-                              math.nan, False, tol, notes or "no seed succeeded")
+        first = failures[0] if failures else "no finite deviation"
+        raise NumericalError(f"{len(failures)} of {len(thetas)} seeds failed; first {first}")
     return PropertyReport(spec.spec_id, rho, len(thetas), worst, worst_theta,
-                          worst <= tol, tol, notes)
-
-
-def _check_samples(samples: int) -> None:
-    if not 8 <= samples <= MAX_CHECK_SAMPLES:
-        raise DomainError(f"samples must lie in [8, {MAX_CHECK_SAMPLES}], got {samples}")
+                          worst <= tol, tol, "; ".join(failures))
 
 
 def _closed_or_raise(spec, seed, rho, what) -> RhoPolygon:
@@ -341,20 +337,11 @@ class SweepResult:
 def sweep(specs: list[NormSpec], rhos: list[float],
           samples: int = DEFAULT_CHECK_SAMPLES,
           tol: float = DEFAULT_CHECK_TOL) -> SweepResult:
-    """Midpoint-property reports for every (spec, rho) cell, spec-major order."""
+    """Midpoint-property reports for every (spec, rho) cell, spec-major; errors are raised."""
     if not specs or not rhos:
         raise DomainError("sweep needs at least one spec and one rho")
-    _check_samples(samples)  # before the cells, which turn errors into rows
-    reports = []
-    for spec in specs:
-        for rho in rhos:
-            try:
-                reports.append(check_midpoint_property(spec, rho, samples, tol))
-            except RhoPlanesError as exc:
-                reports.append(PropertyReport(spec.spec_id, rho, 0, math.inf,
-                                              math.nan, False, tol,
-                                              f"error: {exc}"))
-    return SweepResult(reports)
+    return SweepResult([check_midpoint_property(spec, rho, samples, tol)
+                        for spec in specs for rho in rhos])
 
 
 def sweep_to_csv(result: SweepResult, comment: str | None = None) -> str:

@@ -216,6 +216,8 @@ class NormSpec:
         "euclid" | "lp:<p>" | "quad:<a>,<b>,<c>" | "poly:<x1>,<y1>;<x2>,<y2>;..."
         Polygon vertices are auto-symmetrized under v -> -v.
         """
+        if not isinstance(text, str):
+            raise ConfigurationError(f"a norm spec is a string, got {text!r}")
         text = text.strip()
         if text == "euclid":
             return cls.euclidean()

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conics import ConicForm, conic_radius
+from .errors import DomainError
 from .norms import NormSpec, unit_points
 
 CANVAS = 800
@@ -84,7 +85,7 @@ def render_svg(scene: Scene, comment: str | None = None) -> str:
     for curve in scene.curves:
         for x, y in curve.points:
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError("non-finite curve coordinate")
+                raise DomainError("non-finite curve coordinate")
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
         f'viewBox="0 0 {CANVAS} {CANVAS}">',

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from rho_planes import (NormSpec, RhoPlanesError, build_polygon, even_probe,
-                        rho_from_kn, sector_area)
+                        rho_from_kn, sector_area, sweep)
 from rho_planes.cli import _build_parser, main
 
 
@@ -16,9 +16,18 @@ def reproducible_env(monkeypatch):
     monkeypatch.setenv("RHO_PLANES_SEED", "golden")
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def run(args, capsys):
+    """Exit code, stdout and stderr; every JSON document among them must be valid JSON."""
     code = main(args)
     captured = capsys.readouterr()
+    if captured.out.startswith("{"):
+        json.loads(captured.out, parse_constant=_no_constant)
+    for line in captured.err.splitlines():
+        json.loads(line, parse_constant=_no_constant)
     return code, captured.out, captured.err
 
 
@@ -274,8 +283,11 @@ def _library_message(call):
      lambda: sector_area(NormSpec.euclidean(), 0.0, 9.0)),
     (["polygon", "--spec", "euclid", "--rho", "0.5", "--max-steps", "2"],
      lambda: build_polygon(NormSpec.euclidean(), (1, 0), 0.5, 2)),
+    (["probe-even", "--spec", "euclid", "--kn", "1,5"],
+     lambda: even_probe(NormSpec.euclidean(), 1, 5, 0.0)),
+    (["sweep", "--rhos", "0.5"], lambda: sweep([], [0.5])),
 ], ids=["check-spec", "sweep-spec", "check-kn", "probe-even-kn", "area-range",
-        "polygon-max-steps"])
+        "polygon-max-steps", "probe-even-odd-n", "sweep-no-spec"])
 def test_library_errors_reach_the_usage_record_unchanged(argv, call, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
@@ -322,3 +334,79 @@ def test_out_of_range_sample_counts_are_usage_errors(argv, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize("command, entries", [
+    ("check", {"spec": "euclid", "rho": 0.5, "samples": "x"}),
+    ("check", {"spec": "euclid", "rho": 0.5, "samples": 16.7}),
+    ("check", {"spec": 5, "rho": 0.5}),
+    ("check", {"spec": "euclid", "rho": 0.5, "frobnicate": 1}),
+    ("check", {"spec": "euclid", "rho": 0.5, "format": "csv"}),
+    ("polygon", {"spec": "euclid", "rho": 0.5, "seed": "abc"}),
+], ids=["samples-text", "samples-fraction", "spec-number", "unknown-key", "format-on-check",
+        "seed-text"])
+def test_config_entries_are_checked_like_flags(command, entries, tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(entries))
+    code, out, err = run([command, "--config", str(conf)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize("command, entries, flags", [
+    ("check", {"spec": "euclid", "rho": "0.5", "samples": 16},
+     ["--spec", "euclid", "--rho", "0.5", "--samples", "16"]),
+    ("polygon", {"spec": "lp:4", "kn": "1,5", "max_steps": 40, "format": "svg"},
+     ["--spec", "lp:4", "--kn", "1,5", "--max-steps", "40", "--format", "svg"]),
+    ("render", {"spec": "euclid", "rho": 0.5, "show_ellipse": True},
+     ["--spec", "euclid", "--rho", "0.5", "--show-ellipse"]),
+    ("render", {"spec": "euclid", "rho": 0.5, "show_ellipse": False},
+     ["--spec", "euclid", "--rho", "0.5"]),
+    ("sweep", {"spec": ["euclid", "lp:4"], "rhos": "0.5", "samples": 8},
+     ["--spec", "euclid", "--spec", "lp:4", "--rhos", "0.5", "--samples", "8"]),
+], ids=["check-rho-text", "polygon", "render-true", "render-false", "sweep-spec-list"])
+def test_config_entries_run_as_their_flags(command, entries, flags, tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(entries))
+    assert run([command, "--config", str(conf)], capsys) == run([command] + flags, capsys)
+
+
+@pytest.mark.parametrize("command", ["check", "ellipse", "area", "probe-even", "render"])
+def test_format_is_offered_only_where_it_chooses_the_output(command, capsys):
+    code, out, err = run([command, "--spec", "euclid", "--format", "csv"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--format" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--spec", "euclid", "--rho", "1e-12", "--samples", "8"],
+    ["sweep", "--spec", "euclid", "--rhos", "1e-12,0.5", "--samples", "8", "--format", "csv"],
+], ids=["check", "sweep-csv"])
+def test_every_seed_failing_is_a_numerical_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "numerical"
+    assert "8 of 8 seeds failed" in error["message"]
+
+
+@pytest.mark.parametrize("change, words", [
+    (lambda doc: doc["polygon"]["vertices"][0].__setitem__(1, math.nan), "non-finite"),
+    (lambda doc: doc["polygon"].__setitem__("rho", 5), "rho must lie"),
+    (lambda doc: doc["config"].__setitem__("spec", ["euclid"]), "is a string"),
+], ids=["vertex-nan", "rho-5", "spec-list"])
+def test_malformed_polygon_record_is_a_usage_error(change, words, tmp_path, capsys):
+    record = tmp_path / "poly.json"
+    assert run(["polygon", "--spec", "euclid", "--kn", "1,5", "--out", str(record)],
+               capsys)[0] == 0
+    doc = json.loads(record.read_text())
+    change(doc)
+    record.write_text(json.dumps(doc))
+    code, out, err = run(["render", "--from-json", str(record)], capsys)
+    assert code == 2
+    assert out == ""
+    assert words in json.loads(err)["error"]["message"]

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rho_planes import (DomainError, NonClosingError, NormSpec, RhoPlanesError,
+from rho_planes import (DomainError, NonClosingError, NormSpec, NumericalError,
+                        RhoPlanesError,
                         check_midpoint_property, even_probe, frame_identities,
                         rho_from_kn, scan_self_tangency,
                         sector_partition_suite, sweep, sweep_to_csv,
@@ -51,11 +52,9 @@ def test_check_axis_angles_always_sampled():
 
 def test_check_never_passes_vacuously():
     # a rho below the solver's bracket makes every seed fail; that must
-    # surface as a failed report, not an empty pass
-    rep = check_midpoint_property(EUCLID, 1e-12, 16)
-    assert not rep.passed
-    assert rep.max_midpoint_deviation == math.inf
-    assert "bracket" in rep.notes
+    # surface as a raised error, not an empty pass
+    with pytest.raises(NumericalError, match="bracket"):
+        check_midpoint_property(EUCLID, 1e-12, 16)
 
 
 @pytest.mark.parametrize("spec", IPS_SPECS, ids=spec_ids(IPS_SPECS))
@@ -148,10 +147,11 @@ def test_even_probe_rejects_odd_n():
     lambda: check_midpoint_property(EUCLID, 0.5, 65537),
     lambda: sweep([EUCLID], [0.5], samples=4),
     lambda: sweep([], [0.5]),
+    lambda: sweep([EUCLID], [2.0]),
     lambda: frame_identities(EUCLID, 0.5, 1.0, 0.5),
     lambda: even_probe(EUCLID, 1, 5, 0.0),
 ], ids=["check-samples-4", "check-samples-cap+1", "sweep-samples-4", "sweep-no-spec",
-        "identities-empty-range", "even-probe-odd-n"])
+        "sweep-rho-2", "identities-empty-range", "even-probe-odd-n"])
 def test_out_of_domain_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -81,6 +81,12 @@ def test_parse_roundtrip():
         NormSpec.parse("quad:1,0")
 
 
+@pytest.mark.parametrize("value", [["euclid"], 5, None])
+def test_parse_rejects_a_non_string(value):
+    with pytest.raises(ConfigurationError, match="is a string"):
+        NormSpec.parse(value)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_ids(ALL_SPECS))
 @given(x=coords, y=coords, alpha=st.floats(min_value=1e-6, max_value=1e3))
 @settings(max_examples=60, deadline=None)

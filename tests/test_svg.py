@@ -5,6 +5,7 @@ import math
 import pytest
 
 from rho_planes.conics import ConicForm
+from rho_planes.errors import DomainError
 from rho_planes.svg import (Curve, Scene, add_ellipse_layer, add_polygon_layer,
                             circle_points, render_svg, sphere_scene)
 
@@ -40,7 +41,7 @@ def test_render_is_deterministic():
 
 def test_non_finite_geometry_rejected():
     scene = Scene(curves=[Curve("sphere", [(0.0, math.inf), (1.0, 0.0)])])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         render_svg(scene)
 
 
