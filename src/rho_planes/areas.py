@@ -72,7 +72,7 @@ def sector_area(spec: NormSpec, alpha: float, beta: float,
     return SectorArea(alpha, beta, value, samples, max(estimate, floor))
 
 
-def cap_area(spec: NormSpec, u, v, samples: int = DEFAULT_SAMPLES) -> float:
+def cap_area(spec: NormSpec, u, v) -> float:
     """Area between the chord [u, v] and the arc from u to v (u before v)."""
     up = as_unit_point(spec, u)
     vp = as_unit_point(spec, v)
@@ -80,7 +80,7 @@ def cap_area(spec: NormSpec, u, v, samples: int = DEFAULT_SAMPLES) -> float:
     if w <= 0.0:
         raise DomainError("cap area needs u strictly preceding v")
     gap = (vp.theta - up.theta) % TWO_PI
-    sector = sector_area(spec, up.theta, up.theta + gap, samples)
+    sector = sector_area(spec, up.theta, up.theta + gap)
     return sector.value - 0.5 * w
 
 

@@ -4,11 +4,12 @@ Commands: check, polygon, ellipse, area, sweep, probe-even, render.
 Flags may be combined with a JSON config file (flags win).  Its keys are
 flag names with `_` for `-`, and each entry is parsed as that flag, with
 the flag's type and choices; a key that names no flag of the command is a
-usage error.  `--format` exists only on polygon (json, svg) and sweep
-(json, csv).  The effective config is embedded in every output.  Exit
-codes: 0 success, 1 property failure on an inner-product family, 2 usage
-error, 3 numerical error (also when every seed of a check fails).  All
-errors are also emitted as structured JSON on stderr.
+usage error.  A flag may be given once; only sweep's --spec repeats.
+`--format` exists only on polygon (json, svg) and sweep (json, csv).
+The effective config is embedded in every output.  Exit codes: 0
+success, 1 property failure on an inner-product family, 2 usage error, 3
+numerical error (also when every seed of a check fails).  All errors are
+also emitted as structured JSON on stderr.
 """
 
 import argparse
@@ -42,7 +43,20 @@ class UsageError(RhoPlanesError):
     pass
 
 
+class _StoreOnce(argparse.Action):
+    """The default action: a flag that does not repeat may be given only once."""
+
+    def __call__(self, parser, namespace, values, option_string):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "may be given only once")
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.register("action", None, _StoreOnce)
+
     def error(self, message):
         raise UsageError(message)
 

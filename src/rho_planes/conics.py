@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import GeometryError
 from .chords import star_map
-from .norms import NormSpec, as_unit_point, is_birkhoff_orthogonal, ORTHO_TOL, _xy
+from .norms import (ORTHO_TOL, NormSpec, as_unit_point, birkhoff_orthogonality_defect,
+                    is_birkhoff_orthogonal, _xy)
 
 
 @dataclass(frozen=True)
@@ -72,21 +73,25 @@ def fit_rho_ellipse(u, u_star, rho: float) -> ConicForm:
     return ConicForm(a, b, c, cond)
 
 
-def tangency_star(spec: NormSpec, u, rho: float, tol: float = ORTHO_TOL) -> bool:
+def _star_tangency_defect(spec: NormSpec, u, rho: float) -> float:
+    """Birkhoff defect of u against (1 - 2*rho^2)*u + u*."""
+    up = as_unit_point(spec, u)
+    st = star_map(spec, up, rho)
+    coef = 1.0 - 2.0 * rho * rho
+    return birkhoff_orthogonality_defect(spec, up, (coef * up.x + st.x, coef * up.y + st.y))
+
+
+def tangency_star(spec: NormSpec, u, rho: float) -> bool:
     """Whether u is Birkhoff-orthogonal to (1 - 2*rho^2)*u + u*.
 
     This is the supporting-line condition for the fitted conic and the
     unit circle to be tangent at u.  When rho^2 = 1/2 the direction
     degenerates to u* itself, which stays well defined.
     """
-    up = as_unit_point(spec, u)
-    st = star_map(spec, up, rho)
-    coef = 1.0 - 2.0 * rho * rho
-    d = (coef * up.x + st.x, coef * up.y + st.y)
-    return is_birkhoff_orthogonal(spec, up, d, tol)
+    return _star_tangency_defect(spec, u, rho) <= ORTHO_TOL
 
 
-def tangency_dstar(spec: NormSpec, u, rho: float, tol: float = ORTHO_TOL) -> bool:
+def tangency_dstar(spec: NormSpec, u, rho: float) -> bool:
     """Whether u* is Birkhoff-orthogonal to -u - (1 - 2*rho^2)*u*.
 
     The mirrored supporting-line condition: tangency of the fitted conic
@@ -96,7 +101,7 @@ def tangency_dstar(spec: NormSpec, u, rho: float, tol: float = ORTHO_TOL) -> boo
     st = star_map(spec, up, rho)
     coef = 1.0 - 2.0 * rho * rho
     d = (-up.x - coef * st.x, -up.y - coef * st.y)
-    return is_birkhoff_orthogonal(spec, st, d, tol)
+    return is_birkhoff_orthogonal(spec, st, d)
 
 
 def conic_radius(conic: ConicForm, theta: float) -> float:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonClosingError, NumericalError
-from .norms import (ORTHO_TOL, TWO_PI, NormSpec, UnitPoint,
-                    birkhoff_orthogonality_defect, natural_param, wedge)
-from .chords import frame_grid, midpoint_check, star_map
+from .norms import ORTHO_TOL, TWO_PI, NormSpec, UnitPoint, natural_param, wedge
+from .chords import frame_grid, midpoint_check
+from .conics import _star_tangency_defect
 from .polygons import STATUS_CLOSED, RhoPolygon, build_polygon, rho_from_kn
 from .areas import DEFAULT_SAMPLES, sector_area, total_ball_area
 
@@ -307,14 +307,10 @@ def scan_self_tangency(spec: NormSpec, rho: float, samples: int = 64) -> SelfTan
     whether it clears ORTHO_TOL; "not found below tolerance" is a valid
     outcome for norms without the midpoint-support property.
     """
-    coef = 1.0 - 2.0 * rho * rho
     best, best_theta = math.inf, 0.0
     for j in range(samples):
         theta = TWO_PI * j / samples
-        u = natural_param(spec, theta)
-        st = star_map(spec, u, rho)
-        d = (coef * u.x + st.x, coef * u.y + st.y)
-        defect = abs(birkhoff_orthogonality_defect(spec, u, d))
+        defect = abs(_star_tangency_defect(spec, natural_param(spec, theta), rho))
         if defect < best:
             best, best_theta = defect, theta
     return SelfTangencyScan(best <= ORTHO_TOL, best_theta, best, ORTHO_TOL)

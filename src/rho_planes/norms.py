@@ -404,12 +404,12 @@ def as_unit_point(spec: NormSpec, v) -> UnitPoint:
     return UnitPoint(math.atan2(y, x) % TWO_PI, (x, y))
 
 
-def is_birkhoff_orthogonal(spec: NormSpec, u, v, tol: float = ORTHO_TOL) -> bool:
+def is_birkhoff_orthogonal(spec: NormSpec, u, v) -> bool:
     """Birkhoff orthogonality u _|_ v: no multiple of v pulls u closer to 0.
 
     Minimizes ||u + lambda*v|| and compares against ||u||.
     """
-    return birkhoff_orthogonality_defect(spec, u, v) <= tol
+    return birkhoff_orthogonality_defect(spec, u, v) <= ORTHO_TOL
 
 
 def birkhoff_orthogonality_defect(spec: NormSpec, u, v) -> float:

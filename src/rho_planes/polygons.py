@@ -89,11 +89,14 @@ def build_polygon(spec: NormSpec, u, rho: float, max_steps: int = DEFAULT_MAX_ST
     an almost-periodic orbit doubles its defect on the second lap, while a
     true closure stays at solver-noise level.
 
-    For a non-closing orbit the accumulation set is estimated by a fixed-
-    radius single-linkage pass over the final 20% of vertices.  The radius,
-    max(10*close_tol, 1e-5), must exceed the spacing of consecutive returns,
-    which for orbits attracted to a gauge corner shrinks only algebraically;
-    1e-5 covers the slowest tails seen at the default step budget.
+    For a non-closing orbit the accumulation points are estimated from the
+    final 20% of vertices.  These lie on S, a convex closed curve, so sorted
+    by angle they come in curve order: one pass cuts them where neighbours
+    are more than the radius apart, joins the last run to the first across
+    theta = 0, and returns each run's centroid (summed in walk order).  The
+    radius, max(10*close_tol, 1e-5), must exceed the spacing of consecutive
+    returns, which for orbits attracted to a gauge corner shrinks only
+    algebraically; 1e-5 covers the slowest tails seen at the default budget.
     """
     if max_steps < 3:
         raise DomainError(f"max_steps must be >= 3, got {max_steps}")
@@ -128,24 +131,18 @@ def build_polygon(spec: NormSpec, u, rho: float, max_steps: int = DEFAULT_MAX_ST
 
 
 def _cluster(points: list[UnitPoint], radius: float) -> list[tuple[float, float]]:
-    """Fixed-radius single-linkage pass; returns cluster centroids by angle."""
-    clusters: list[list[UnitPoint]] = []
-    for p in points:
-        hits = [c for c in clusters
-                if any(math.hypot(p.x - q.x, p.y - q.y) <= radius for q in c)]
-        if not hits:
-            clusters.append([p])
-        else:
-            merged = hits[0]
-            for other in hits[1:]:
-                merged.extend(other)
-                clusters.remove(other)
-            merged.append(p)
-    centroids = []
-    for c in clusters:
-        cx = sum(q.x for q in c) / len(c)
-        cy = sum(q.y for q in c) / len(c)
-        centroids.append((cx, cy))
+    """Centroids, by angle, of the runs of angle-neighbours within radius."""
+    order = sorted(range(len(points)), key=lambda i: points[i].theta)
+    label = [0] * len(points)
+    for prev, i in zip(order, order[1:]):
+        label[i] = label[prev] + (math.dist(points[prev].coords, points[i].coords) > radius)
+    count = label[order[-1]] + 1
+    if count > 1 and math.dist(points[order[-1]].coords, points[order[0]].coords) <= radius:
+        count -= 1  # the last run meets the first across theta = 0
+    groups: list[list[UnitPoint]] = [[] for _ in range(count)]
+    for p, g in zip(points, label):
+        groups[g % count].append(p)
+    centroids = [(sum(q.x for q in c) / len(c), sum(q.y for q in c) / len(c)) for c in groups]
     centroids.sort(key=lambda q: math.atan2(q[1], q[0]) % TWO_PI)
     return centroids
 

@@ -7,7 +7,7 @@ import pytest
 
 from rho_planes import NormSpec, NumericalError, as_unit_point, natural_param
 from rho_planes.chords import ANTIPODAL_GUARD
-from rho_planes.norms import _line_min
+from rho_planes.norms import TWO_PI, _line_min
 
 EUCLID = NormSpec.euclidean()
 QUAD14 = NormSpec.quadratic(1, 0, 4)
@@ -236,3 +236,30 @@ def bisection_star_map(spec, u, rho):
     if lo == up.theta:
         raise NumericalError("star-map bisection could not leave the seed angle")
     return natural_param(spec, lo)
+
+
+def single_linkage_clusters(points, radius):
+    """Fixed-radius single-linkage pass; returns cluster centroids by angle.
+
+    Cost is points x clusters.  Kept as the oracle for the one-pass run
+    grouping of `rho_planes.polygons._cluster`.
+    """
+    clusters = []
+    for p in points:
+        hits = [c for c in clusters
+                if any(math.hypot(p.x - q.x, p.y - q.y) <= radius for q in c)]
+        if not hits:
+            clusters.append([p])
+        else:
+            merged = hits[0]
+            for other in hits[1:]:
+                merged.extend(other)
+                clusters.remove(other)
+            merged.append(p)
+    centroids = []
+    for c in clusters:
+        cx = sum(q.x for q in c) / len(c)
+        cy = sum(q.y for q in c) / len(c)
+        centroids.append((cx, cy))
+    centroids.sort(key=lambda q: math.atan2(q[1], q[0]) % TWO_PI)
+    return centroids

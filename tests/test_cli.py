@@ -168,6 +168,8 @@ def test_sweep_csv_deterministic_and_gated(tmp_path, capsys):
     assert lines[0].startswith("# config:")
     assert lines[1] == "spec,rho,samples,max_dev,worst_theta,pass"
     assert len(lines) == 6
+    # --spec is the one flag that repeats
+    assert [line.split(",")[0] for line in lines[2:]] == ["euclid", "euclid", "lp:4", "lp:4"]
 
 
 def test_area_command(capsys):
@@ -209,6 +211,10 @@ def test_config_file_merging(tmp_path, capsys):
     code, out, _ = run(["check", "--config", str(conf), "--samples", "16"], capsys)
     assert code == 0
     assert json.loads(out)["config"]["samples"] == 16
+    # a flag and a config entry of the same name are two parses, not a repeat
+    code, out, _ = run(["check", "--config", str(conf), "--rho", "0.3"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["rho"] == 0.3
 
 
 def test_timestamp_present_without_env(monkeypatch, capsys):
@@ -410,3 +416,20 @@ def test_malformed_polygon_record_is_a_usage_error(change, words, tmp_path, caps
     assert code == 2
     assert out == ""
     assert words in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, entries", [
+    (["check", "--spec", "euclid", "--rho", "0.3", "--rho", "0.5", "--samples", "16"], None),
+    (["polygon", "--spec", "euclid", "--rho", "0.5", "--seed", "1", "--seed", "2"], None),
+    (["check", "--spec", "euclid", "--samples", "16"], {"rho": [0.3, 0.5]}),
+], ids=["check-rho", "polygon-seed", "config-rho-list"])
+def test_a_flag_that_does_not_repeat_may_be_given_only_once(argv, entries, tmp_path, capsys):
+    if entries is not None:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(entries))
+        argv = argv + ["--config", str(conf)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "may be given only once" in json.loads(err)["error"]["message"]
+

@@ -8,8 +8,10 @@ import pytest
 from rho_planes import (ClassificationError, DomainError, build_polygon,
                         classify, closure_ratios, natural_param,
                         polygon_to_dict, rho_from_kn, wedge_sum)
+from rho_planes.polygons import DEFAULT_CLOSE_TOL, _cluster
 
-from conftest import EUCLID, IPS_SPECS, QUAD14, SQUARE, spec_ids
+from conftest import EUCLID, IPS_SPECS, QUAD14, SQUARE, single_linkage_clusters, spec_ids
+from test_chords import ORACLE_IDS, ORACLE_SPECS
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,6 +79,27 @@ def test_square_generic_seed_accumulates_at_axes():
     axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     for pt in poly.accumulation_points:
         assert min(math.hypot(pt[0] - ax, pt[1] - ay) for ax, ay in axes) <= 1e-3
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+def test_accumulation_points_match_single_linkage_oracle(spec):
+    radius = max(10 * DEFAULT_CLOSE_TOL, 1e-5)
+    for rho in (0.45, 0.6, 0.77):
+        poly = build_polygon(spec, natural_param(spec, 0.35), rho, 1000)
+        assert poly.status == "non_closing"
+        tail = poly.vertices[int(0.8 * len(poly.vertices)):]
+        assert poly.accumulation_points == single_linkage_clusters(tail, radius)
+        if spec.is_ips_family:
+            # the orbit is conjugate to a rotation and never accumulates:
+            # every tail point is its own entry
+            assert len(poly.accumulation_points) == len(tail)
+
+
+def test_accumulation_runs_join_across_theta_zero():
+    points = [natural_param(EUCLID, t) for t in (TWO_PI - 1e-7, 1e-7, math.pi)]
+    got = _cluster(points, 1e-5)
+    assert len(got) == 2
+    assert got == single_linkage_clusters(points, 1e-5)
 
 
 @pytest.mark.parametrize("k,n", [(1, 3), (1, 5), (2, 5), (2, 7), (3, 7)])
