@@ -15,7 +15,7 @@ from .errors import DegenerateChordError, DomainError, NumericalError
 from .norms import (TWO_PI, NormSpec, UnitPoint, as_unit_point,
                     birkhoff_successor, natural_param, perp_points,
                     unit_points, _line_min, _require_smooth)
-from .solve1d import illinois_root
+from .solve1d import illinois_root, illinois_root_many
 
 ANTIPODAL_GUARD = 1e-9
 
@@ -107,13 +107,45 @@ def star_map(spec: NormSpec, u, rho: float) -> UnitPoint:
         px, py, t = _smooth_tangent_exit(spec, up, rho)
     sx, sy = ux + t * (px - ux), uy + t * (py - uy)
     gap = (math.atan2(sy, sx) - up.theta) % TWO_PI
-    if gap >= math.pi - ANTIPODAL_GUARD:
-        raise NumericalError(
-            f"star-map bracket failure: chords from theta={up.theta:.6f} "
-            f"never dip below rho={rho}")
-    if gap == 0.0:
-        raise NumericalError("star map could not leave the seed angle")
+    if _failed_gap(gap):
+        raise NumericalError(_gap_error(up.theta, gap, rho))
     return natural_param(spec, up.theta + gap)
+
+
+def _failed_gap(gap):
+    """Whether u* lies too close to -u, or at u itself, to be resolved."""
+    return (gap >= math.pi - ANTIPODAL_GUARD) | (gap == 0.0)
+
+
+def _gap_error(theta, gap, rho):
+    if gap == 0.0:
+        return "star map could not leave the seed angle"
+    return (f"star-map bracket failure: chords from theta={theta:.6f} "
+            f"never dip below rho={rho}")
+
+
+def star_map_many(spec: NormSpec, thetas, rho: float):
+    """`star_map` of the unit points s(thetas), thetas in [0, 2pi), solved as arrays.
+
+    Returns (ux, uy, vx, vy, errors): the seeds u = s(theta), their images
+    v = u*, and {index: message} for the seeds on which `star_map` raises
+    NumericalError, with its message; their v is not meaningful.  Each seed
+    takes the steps `star_map` takes on it, with numpy's elementwise
+    functions in place of `math`'s.
+    """
+    _check_rho(rho)
+    thetas = np.asarray(thetas, dtype=float)
+    ux, uy = unit_points(spec, thetas)
+    if spec.normals is not None:
+        px, py, t = _poly_tangent_exit_many(spec.normals, ux, uy, rho)
+    else:
+        px, py, t = _smooth_tangent_exit_many(spec, thetas, ux, uy, rho)
+    sx, sy = ux + t * (px - ux), uy + t * (py - uy)
+    gap = np.mod(np.arctan2(sy, sx) - thetas, TWO_PI)
+    errors = {int(i): _gap_error(float(thetas[i]), gap[i], rho)
+              for i in np.flatnonzero(_failed_gap(gap))}
+    vx, vy = unit_points(spec, np.mod(thetas + gap, TWO_PI))
+    return ux, uy, vx, vy, errors
 
 
 def _smooth_tangent_exit(spec, up, rho):
@@ -166,6 +198,60 @@ def _poly_tangent_exit(normals, ux, uy, rho):
     return px, py, t
 
 
+def _smooth_tangent_exit_many(spec, thetas, ux, uy, rho):
+    """`_smooth_tangent_exit` on arrays of seeds: both roots by `illinois_root_many`."""
+    grad_many, value_many = spec.grad_many, spec.value_many
+
+    def pairing(phi, i):
+        gx, gy = grad_many(np.cos(phi), np.sin(phi))
+        return rho - (gx * ux[i] + gy * uy[i])
+
+    phi = illinois_root_many(pairing, thetas, thetas + math.pi, rho - 1.0, rho + 1.0)
+    px, py = unit_points(spec, np.mod(phi, TWO_PI))
+    px, py = rho * px, rho * py
+    dx, dy = px - ux, py - uy
+
+    def exit_gap(t, i):
+        return value_many(ux[i] + t * dx[i], uy[i] + t * dy[i]) - 1.0
+
+    hi = np.maximum(1.0, 2.0 / value_many(dx, dy))
+    t = illinois_root_many(exit_gap, 1.0, hi, rho - 1.0, exit_gap(hi, slice(None)))
+    return px, py, t
+
+
+def _poly_tangent_exit_many(normals, ux, uy, rho):
+    """`_poly_tangent_exit` on arrays of seeds.
+
+    One pass over the facets per stage, each on seed-length arrays, so
+    memory stays O(seeds) whatever the facet count.
+    """
+    m = len(normals)
+    nx = np.array([n[0] for n in normals])
+    ny = np.array([n[1] for n in normals])
+    k = np.zeros(ux.shape, dtype=int)
+    best = nx[0] * ux + ny[0] * uy
+    for i in range(1, m):  # the first facet of largest support, as max() picks
+        d = nx[i] * ux + ny[i] * uy
+        better = d > best
+        k, best = np.where(better, i, k), np.where(better, d, best)
+    walking = np.ones(ux.shape, dtype=bool)
+    for _ in range(m):
+        k = np.where(walking, (k + 1) % m, k)
+        walking &= nx[k] * ux + ny[k] * uy >= rho
+        if not walking.any():
+            break
+    ax, ay, bx, by = nx[k - 1], ny[k - 1], nx[k], ny[k]
+    det = ax * by - ay * bx
+    px, py = rho * (by - ay) / det, rho * (ax - bx) / det
+    dx, dy = px - ux, py - uy
+    t = np.full(ux.shape, math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for fx, fy in normals:
+            s = fx * dx + fy * dy
+            t = np.where(s > 0.0, np.minimum(t, (1.0 - (fx * ux + fy * uy)) / s), t)
+    return px, py, t
+
+
 def midpoint_check(spec: NormSpec, u, rho: float) -> MidpointReport:
     """The chord [u, star_map(u)] and the gauge of its midpoint.
 
@@ -212,19 +298,18 @@ def frame_grid(spec: NormSpec, thetas: np.ndarray, rho: float):
     """Vectorized chord frames on a theta grid.
 
     Returns (sx, sy, tx, ty, mu) arrays: unit points, successor directions
-    and half-widths.  The scalar `chord_frame` is the reference
+    and half-widths, mu by `illinois_root_many` on the bracket of
+    `chord_frame`.  The scalar `chord_frame` is the reference
     implementation; agreement is covered by tests.
     """
     _check_rho(rho)
     sx, sy = unit_points(spec, thetas)
     tx, ty = perp_points(spec, thetas)
-    lo = np.zeros_like(thetas)
-    hi = np.full_like(thetas, 1.0 + 1.0 / rho)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        val = spec.value_many(rho * (sx + mid * tx), rho * (sy + mid * ty))
-        above = val > 1.0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    mu = 0.5 * (lo + hi)
+    value_many = spec.value_many
+
+    def g(mu, i):
+        return value_many(rho * (sx[i] + mu * tx[i]), rho * (sy[i] + mu * ty[i])) - 1.0
+
+    hi = 1.0 + 1.0 / rho
+    mu = illinois_root_many(g, 0.0, hi, rho - 1.0, g(hi, slice(None)))
     return sx, sy, tx, ty, mu

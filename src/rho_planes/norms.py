@@ -20,6 +20,9 @@ TWO_PI = 2.0 * math.pi
 
 UNIT_TOL = 1e-10
 ORTHO_TOL = 1e-9
+# Beyond an axis ratio of 1e6 most of a quadratic unit circle lies within a
+# few ulps of the long axis's angle, and the checker's verdicts go wrong.
+MAX_QUAD_EIGEN_RATIO = 1e12
 
 
 def _fmt_num(x: float) -> str:
@@ -135,9 +138,18 @@ class NormSpec:
             raise ConfigurationError(
                 f"quadratic coefficients {a}, {b}, {c} are too large")
         s = max(a, abs(b), c)  # unscaled, 4ac - b^2 over- or underflows on valid forms
-        if not (a > 0.0 and 4.0 * (a / s) * (c / s) - (b / s) ** 2 > 0.0):
+        det4 = 4.0 * (a / s) * (c / s) - (b / s) ** 2 if a > 0.0 else 0.0
+        if not det4 > 0.0:
             raise ConfigurationError(
                 f"quadratic form {a}x^2+{b}xy+{c}y^2 is not positive definite")
+        # eigenvalue ratio lmax/lmin of the scaled form as lmax^2/det: lmin would cancel
+        lmax = (a + c + math.hypot(a - c, b)) / (2.0 * s)
+        ratio = 4.0 * lmax * lmax / det4
+        if ratio > MAX_QUAD_EIGEN_RATIO:
+            raise ConfigurationError(
+                f"quadratic form {a}x^2+{b}xy+{c}y^2 has eigenvalue ratio {ratio:.6g}, "
+                f"above {MAX_QUAD_EIGEN_RATIO:g}: its axes differ by more than a factor "
+                "1e6, too thin a unit circle to resolve through angles")
 
         def value(x, y):
             ax, ay = abs(x), abs(y)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from rho_planes import NormSpec, NumericalError, as_unit_point, natural_param
+from rho_planes import (NormSpec, NumericalError, as_unit_point, midpoint_check,
+                        natural_param)
 from rho_planes.chords import ANTIPODAL_GUARD
+from rho_planes.lab import _AXIS_ANGLES
 from rho_planes.norms import TWO_PI, _line_min
 
 EUCLID = NormSpec.euclidean()
@@ -263,3 +265,31 @@ def single_linkage_clusters(points, radius):
         centroids.append((cx, cy))
     centroids.sort(key=lambda q: math.atan2(q[1], q[0]) % TWO_PI)
     return centroids
+
+
+def check_seeds(samples):
+    """The seed angles of `check_midpoint_property`: a uniform grid plus the axes."""
+    return sorted({(TWO_PI * j) / samples for j in range(samples)} | set(_AXIS_ANGLES))
+
+
+def scalar_check(spec, rho, samples):
+    """The midpoint checker as a loop of scalar `midpoint_check` calls.
+
+    Returns (max deviation, worst theta, notes) with the first maximum in
+    theta order, or raises NumericalError when every seed fails.  Kept as
+    the oracle for the array solve in `rho_planes.lab.check_midpoint_property`.
+    """
+    thetas = check_seeds(samples)
+    worst, worst_theta, failures = -1.0, 0.0, []
+    for theta in thetas:
+        try:
+            report = midpoint_check(spec, natural_param(spec, theta), rho)
+        except NumericalError as exc:
+            failures.append(f"theta={theta:.6f}: {exc}")
+            continue
+        dev = abs(report.midpoint_norm - rho)
+        if dev > worst:
+            worst, worst_theta = dev, theta
+    if worst < 0.0:
+        raise NumericalError(f"{len(failures)} of {len(thetas)} seeds failed; first {failures[0]}")
+    return worst, worst_theta, "; ".join(failures)

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from rho_planes import (DegenerateChordError, DomainError, NormSpec, UnitPoint,
-                        chord_frame, chord_min, eval_norm, frame_grid,
+from rho_planes import (DegenerateChordError, DomainError, NormSpec, NumericalError,
+                        UnitPoint, chord_frame, chord_min, eval_norm, frame_grid,
                         midpoint_check, natural_param, precedes, star_map,
                         wedge)
 
+from rho_planes.chords import star_map_many
 from rho_planes.norms import _line_min
 
 from conftest import (EUCLID, IPS_SPECS, LP4, LP15, QUAD14, QUAD213, SQUARE,
@@ -183,6 +184,32 @@ def test_star_map_matches_bisection_oracle(spec, rng):
             got = star_map(spec, u, rho)
             want = bisection_star_map(spec, u, rho)
             assert max(abs(got.x - want.x), abs(got.y - want.y)) <= 1e-13, (theta, rho)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+def test_star_map_many_matches_scalar_star_map(spec):
+    thetas = sorted(set(np.linspace(0.0, TWO_PI, 64, endpoint=False))
+                    | {k * math.pi / 4 for k in range(8)} | set(spec.corner_angles))
+    for rho in (0.05, 0.5, math.cos(math.pi / 5), 0.98):
+        ux, uy, vx, vy, errors = star_map_many(spec, thetas, rho)
+        assert errors == {}
+        for i, theta in enumerate(thetas):
+            u = natural_param(spec, theta)
+            v = star_map(spec, u, rho)
+            got = (ux[i], uy[i], vx[i], vy[i])
+            want = u.coords + v.coords
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13, (theta, rho)
+
+
+@pytest.mark.parametrize("spec", [EUCLID, LP4, SQUARE], ids=["euclid", "lp:4", "square"])
+def test_star_map_many_fails_a_seed_with_the_scalar_message(spec):
+    thetas = [0.0, 1.0, 2.5, 4.0]
+    *_, errors = star_map_many(spec, thetas, 1e-12)
+    assert sorted(errors) == [0, 1, 2, 3]
+    for i, theta in enumerate(thetas):
+        with pytest.raises(NumericalError) as info:
+            star_map(spec, natural_param(spec, theta), 1e-12)
+        assert errors[i] == str(info.value)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)

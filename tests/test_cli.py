@@ -312,6 +312,22 @@ def test_extreme_but_valid_quadratic_forms_pass_check(spec, capsys):
     assert report["max_dev"] <= 1e-14
 
 
+@pytest.mark.parametrize("spec", ["quad:1e16,0,1", "quad:1e20,0,1", "quad:1,0,1e-300",
+                                  "quad:1e12,1.999e6,1"])
+def test_quadratic_forms_beyond_the_eigenvalue_ratio_bound_are_usage_errors(spec, capsys):
+    code, out, err = run(["check", "--spec", spec, "--rho", "0.5", "--samples", "8"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "eigenvalue ratio" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("spec", ["quad:1e10,0,1", "quad:1,0,1e-10"])
+def test_anisotropic_forms_within_the_bound_pass_check(spec, capsys):
+    code, out, _ = run(["check", "--spec", spec, "--rho", "0.5"], capsys)
+    assert code == 0
+    assert json.loads(out)["report"]["pass"] is True
+
+
 def test_overflowing_quadratic_form_fails_the_overflow_check(capsys):
     code, _, err = run(["check", "--spec", "quad:1e308,0,1e308", "--rho", "0.5",
                         "--samples", "8"], capsys)
@@ -398,6 +414,15 @@ def test_every_seed_failing_is_a_numerical_error(argv, capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "numerical"
     assert "8 of 8 seeds failed" in error["message"]
+
+
+def test_every_seed_failing_message_is_unchanged(capsys):
+    code, _, err = run(["check", "--spec", "euclid", "--rho", "1e-12"], capsys)
+    assert code == 3
+    assert err == (
+        '{"error": {"type": "numerical", "message": "256 of 256 seeds failed; first '
+        'theta=0.000000: star-map bracket failure: chords from theta=0.000000 never dip '
+        'below rho=1e-12"}}\n')
 
 
 @pytest.mark.parametrize("change, words", [

@@ -12,7 +12,8 @@ from rho_planes import (DomainError, NonClosingError, NormSpec, NumericalError,
                         sector_partition_suite, sweep, sweep_to_csv,
                         sweep_to_json, total_ball_area)
 
-from conftest import EUCLID, IPS_SPECS, LP4, QUAD14, SQUARE, spec_ids
+from conftest import EUCLID, IPS_SPECS, LP4, QUAD14, SQUARE, scalar_check, spec_ids
+from test_chords import ORACLE_IDS, ORACLE_SPECS
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,6 +56,43 @@ def test_check_never_passes_vacuously():
     # surface as a raised error, not an empty pass
     with pytest.raises(NumericalError, match="bracket"):
         check_midpoint_property(EUCLID, 1e-12, 16)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+def test_check_matches_the_scalar_loop(spec):
+    from rho_planes import midpoint_check, natural_param
+    for rho in (0.05, 0.5, math.cos(math.pi / 5), 0.98):
+        rep = check_midpoint_property(spec, rho, 64)
+        worst, worst_theta, notes = scalar_check(spec, rho, 64)
+        assert rep.passed == (worst <= rep.tol)
+        assert abs(rep.max_midpoint_deviation - worst) <= 2e-15
+        assert rep.notes == notes
+        if rep.worst_theta != worst_theta:  # a tie: the scalar deviation there is as large
+            u = natural_param(spec, rep.worst_theta)
+            dev = abs(midpoint_check(spec, u, rho).midpoint_norm - rho)
+            assert worst - dev <= 2e-15, (rho, rep.worst_theta, worst_theta)
+
+
+def test_every_seed_failing_gives_the_scalar_loop_message():
+    for spec in (EUCLID, LP4, SQUARE):
+        with pytest.raises(NumericalError) as scalar:
+            scalar_check(spec, 1e-12, 16)
+        with pytest.raises(NumericalError) as array:
+            check_midpoint_property(spec, 1e-12, 16)
+        assert str(array.value) == str(scalar.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["lp:1e6", "lp:1.000001", "quad:4e307,1e307,1e307",
+                                  "quad:1e-300,0,1e-300", "quad:1e200,-1e200,1e200",
+                                  "quad:1e10,0,1", "quad:1,0,1e-10"])
+def test_check_on_extreme_specs_raises_no_numpy_warning(text):
+    spec = NormSpec.parse(text)
+    for rho in (1e-8, 0.5, 0.98):
+        rep = check_midpoint_property(spec, rho, 64)
+        assert math.isfinite(rep.max_midpoint_deviation)
+        if spec.is_ips_family:
+            assert rep.passed
 
 
 @pytest.mark.parametrize("spec", IPS_SPECS, ids=spec_ids(IPS_SPECS))

@@ -54,6 +54,14 @@ def test_positive_definite_forms_at_extreme_scales_accepted(abc):
     assert spec.value(*u.coords) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("abc", [(1e16, 0, 1), (1e20, 0, 1), (1, 0, 1e-300),
+                                 (1e12, 1.999e6, 1)])
+def test_forms_beyond_the_eigenvalue_ratio_bound_rejected(abc):
+    # the last is nearly singular: its diagonal alone has ratio 1e12
+    with pytest.raises(ConfigurationError, match="eigenvalue ratio"):
+        NormSpec.quadratic(*abc)
+
+
 @pytest.mark.parametrize("abc", [(1e300, 3e300, 1e300), (1e-300, 3e-300, 1e-300),
                                  (1, 2, 1), (1, 0, 0), (0, 0, 1)])
 def test_forms_that_are_not_positive_definite_rejected_at_any_scale(abc):
