@@ -7,6 +7,7 @@ the scaled circle rho*S, i.e. its minimum gauge value equals rho.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,7 @@ def star_map(spec: NormSpec, u, rho: float) -> UnitPoint:
     up = as_unit_point(spec, u)
     ux, uy = up.coords
     if spec.normals is not None:
-        px, py, t = _poly_tangent_exit(spec.normals, ux, uy, rho)
+        px, py, t = _poly_tangent_exit(spec, up, rho)
     else:
         px, py, t = _smooth_tangent_exit(spec, up, rho)
     sx, sy = ux + t * (px - ux), uy + t * (py - uy)
@@ -137,7 +138,7 @@ def star_map_many(spec: NormSpec, thetas, rho: float):
     thetas = np.asarray(thetas, dtype=float)
     ux, uy = unit_points(spec, thetas)
     if spec.normals is not None:
-        px, py, t = _poly_tangent_exit_many(spec.normals, ux, uy, rho)
+        px, py, t = _poly_tangent_exit_many(spec, thetas, ux, uy, rho)
     else:
         px, py, t = _smooth_tangent_exit_many(spec, thetas, ux, uy, rho)
     sx, sy = ux + t * (px - ux), uy + t * (py - uy)
@@ -154,7 +155,10 @@ def _smooth_tangent_exit(spec, up, rho):
     The gradient is 0-homogeneous and <grad N(s), s> = 1, so the pairing
     <grad N(s(phi)), u> falls from 1 to -1 over the half-turn after u; the
     tangent point is where it equals rho.  N(u + t*(p - u)) - 1 is convex
-    in t, negative at t = 1 and nonnegative at t = 2/N(p - u).
+    in t, negative at t = 1 and nonnegative at t = 2/N(p - u).  Both roots
+    first try the inner-product answer, which the midpoint-support property
+    makes exact there: the tangent point at angle theta + arccos(rho) of
+    the round circle, and the exit at t = 2.
     """
     ux, uy = up.coords
     grad, value = spec.grad, spec.value
@@ -163,7 +167,8 @@ def _smooth_tangent_exit(spec, up, rho):
         gx, gy = grad(math.cos(phi), math.sin(phi))
         return rho - (gx * ux + gy * uy)
 
-    phi = illinois_root(pairing, up.theta, up.theta + math.pi, rho - 1.0, rho + 1.0)
+    phi = illinois_root(pairing, up.theta, up.theta + math.pi, rho - 1.0, rho + 1.0,
+                        guess=up.theta + math.acos(rho))
     px, py = natural_param(spec, phi).coords
     px, py = rho * px, rho * py
     dx, dy = px - ux, py - uy
@@ -172,29 +177,40 @@ def _smooth_tangent_exit(spec, up, rho):
         return value(ux + t * dx, uy + t * dy) - 1.0
 
     hi = max(1.0, 2.0 / value(dx, dy))
-    return px, py, illinois_root(exit_gap, 1.0, hi, rho - 1.0, exit_gap(hi))
+    return px, py, illinois_root(exit_gap, 1.0, hi, rho - 1.0, exit_gap(hi), guess=2.0)
 
 
-def _poly_tangent_exit(normals, ux, uy, rho):
+def _poly_tangent_exit(spec, up, rho):
     """Tangent vertex and exit parameter for a polygonal gauge, in closed form.
 
-    Facets of rho*P visible from u (<n_i, u> >= rho) form a run around the
-    facet that supports u; the counterclockwise tangent touches the vertex
-    after the last of them.  The strict `<` sends a chord that runs along a
-    facet of rho*P to that facet's far vertex.
+    The facet that supports u lies between the corners around u's angle,
+    found by bisecting the corner angles; a u on a corner takes the facet
+    before it, whose walk passes the one after.  Facets of rho*P visible
+    from u (<n_i, u> >= rho) form a run around it; the counterclockwise
+    tangent touches the vertex after the last of them.  The strict `<`
+    sends a chord that runs along a facet of rho*P to that facet's far
+    vertex.
     """
+    normals = spec.normals
+    ux, uy = up.coords
     m = len(normals)
-    k = max(range(m), key=lambda i: normals[i][0] * ux + normals[i][1] * uy)
+    k = bisect_left(spec.corner_angles, up.theta) - 1
     for _ in range(m):
         k = (k + 1) % m
-        if normals[k][0] * ux + normals[k][1] * uy < rho:
+        nx, ny = normals[k]
+        if nx * ux + ny * uy < rho:
             break
     (ax, ay), (bx, by) = normals[k - 1], normals[k]
     det = ax * by - ay * bx
     px, py = rho * (by - ay) / det, rho * (ax - bx) / det
     dx, dy = px - ux, py - uy
-    t = min((1.0 - (nx * ux + ny * uy)) / s
-            for nx, ny in normals if (s := nx * dx + ny * dy) > 0.0)
+    t = math.inf
+    for nx, ny in normals:  # an explicit loop: min() over a generator is slower
+        s = nx * dx + ny * dy
+        if s > 0.0:
+            exit_t = (1.0 - (nx * ux + ny * uy)) / s
+            if exit_t < t:
+                t = exit_t
     return px, py, t
 
 
@@ -206,7 +222,8 @@ def _smooth_tangent_exit_many(spec, thetas, ux, uy, rho):
         gx, gy = grad_many(np.cos(phi), np.sin(phi))
         return rho - (gx * ux[i] + gy * uy[i])
 
-    phi = illinois_root_many(pairing, thetas, thetas + math.pi, rho - 1.0, rho + 1.0)
+    phi = illinois_root_many(pairing, thetas, thetas + math.pi, rho - 1.0, rho + 1.0,
+                             guess=thetas + math.acos(rho))
     px, py = unit_points(spec, np.mod(phi, TWO_PI))
     px, py = rho * px, rho * py
     dx, dy = px - ux, py - uy
@@ -215,25 +232,22 @@ def _smooth_tangent_exit_many(spec, thetas, ux, uy, rho):
         return value_many(ux[i] + t * dx[i], uy[i] + t * dy[i]) - 1.0
 
     hi = np.maximum(1.0, 2.0 / value_many(dx, dy))
-    t = illinois_root_many(exit_gap, 1.0, hi, rho - 1.0, exit_gap(hi, slice(None)))
+    t = illinois_root_many(exit_gap, 1.0, hi, rho - 1.0, exit_gap(hi, slice(None)),
+                           guess=2.0)
     return px, py, t
 
 
-def _poly_tangent_exit_many(normals, ux, uy, rho):
+def _poly_tangent_exit_many(spec, thetas, ux, uy, rho):
     """`_poly_tangent_exit` on arrays of seeds.
 
     One pass over the facets per stage, each on seed-length arrays, so
     memory stays O(seeds) whatever the facet count.
     """
+    normals = spec.normals
     m = len(normals)
     nx = np.array([n[0] for n in normals])
     ny = np.array([n[1] for n in normals])
-    k = np.zeros(ux.shape, dtype=int)
-    best = nx[0] * ux + ny[0] * uy
-    for i in range(1, m):  # the first facet of largest support, as max() picks
-        d = nx[i] * ux + ny[i] * uy
-        better = d > best
-        k, best = np.where(better, i, k), np.where(better, d, best)
+    k = np.searchsorted(spec.corner_angles, thetas) - 1
     walking = np.ones(ux.shape, dtype=bool)
     for _ in range(m):
         k = np.where(walking, (k + 1) % m, k)

@@ -8,8 +8,9 @@ usage error.  A flag may be given once; only sweep's --spec repeats.
 `--format` exists only on polygon (json, svg) and sweep (json, csv).
 The effective config is embedded in every output.  Exit codes: 0
 success, 1 property failure on an inner-product family, 2 usage error, 3
-numerical error (also when every seed of a check fails).  All errors are
-also emitted as structured JSON on stderr.
+numerical error (also when every seed of a check fails), 4 internal
+error (an exception the library does not raise on purpose).  All errors
+are also emitted as structured JSON on stderr.
 """
 
 import argparse
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(RhoPlanesError):
@@ -217,7 +219,7 @@ def _config_blob(conf: dict) -> str:
     # the output path is invocation metadata, not computation config;
     # dropping it keeps renders to different paths byte-identical
     slim = {k: v for k, v in conf.items() if k != "out"}
-    return json.dumps(slim, sort_keys=True, separators=(",", ":"))
+    return json.dumps(slim, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _json_doc(payload: dict, conf: dict) -> str:
@@ -225,7 +227,7 @@ def _json_doc(payload: dict, conf: dict) -> str:
     doc["config"] = conf
     if not os.environ.get("RHO_PLANES_SEED"):
         doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -381,7 +383,8 @@ _COMMANDS = {
 
 
 def _error_json(kind: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
+    sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}},
+                                allow_nan=False) + "\n")
 
 
 def main(argv=None) -> int:
@@ -400,6 +403,13 @@ def main(argv=None) -> int:
     except RhoPlanesError as exc:
         _error_json("error", str(exc))
         return EXIT_NUMERICAL
+    except Exception as exc:  # a defect, not an input error: still one JSON record
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        _error_json("internal", f"{type(exc).__name__}: {exc} (at "
+                    f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno})")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

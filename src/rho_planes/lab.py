@@ -355,4 +355,4 @@ def sweep_to_json(result: SweepResult, config: dict | None = None) -> str:
     doc = {"reports": result.to_dicts()}
     if config is not None:
         doc["config"] = config
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"

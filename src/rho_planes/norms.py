@@ -275,9 +275,6 @@ def _slope(value, grad, sign):
 
 def _facet_gauge(normals):
     """The polygonal gauge max_i <n_i, (x, y)>, scalar and on numpy arrays."""
-    nx = np.array([n[0] for n in normals])
-    ny = np.array([n[1] for n in normals])
-
     def value(x, y):  # an explicit loop: max() over a generator is slower here
         best = -math.inf
         for px, py in normals:
@@ -286,8 +283,12 @@ def _facet_gauge(normals):
                 best = d
         return best
 
-    def value_many(x, y):
-        return np.max(np.multiply.outer(nx, x) + np.multiply.outer(ny, y), axis=0)
+    def value_many(x, y):  # one facet at a time: memory stays O(points)
+        (px, py), *rest = normals
+        best = px * x + py * y
+        for px, py in rest:
+            best = np.maximum(best, px * x + py * y)
+        return best
 
     return value, value_many
 

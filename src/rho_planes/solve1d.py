@@ -14,20 +14,24 @@ XTOL = 1e-15
 
 
 def illinois_root(f, a: float, b: float, fa: float, fb: float,
-                  xtol: float = XTOL) -> float:
+                  xtol: float = XTOL, guess: float | None = None) -> float:
     """Root of a (possibly discontinuous) sign-changing f on [a, b].
 
     Regula falsi with the Illinois weighting.  A secant point that rounds
     onto (or past) an end of the bracket moves one float inside it, so a
     root the secant has found is not bisected down to the far end; when
     the same end was nudged on the step before, or the secant point is NaN
-    or its denominator zero, the step bisects instead.  Requires
-    fa < 0 < fb.
+    or its denominator zero, the step bisects instead.  A `guess` strictly
+    inside the bracket is evaluated in place of the first secant point;
+    every later step is the same.  Requires fa < 0 < fb.
     """
     side = nudged = 0
     for _ in range(MAX_ITERS):
         denom = fb - fa
         x = 0.5 * (a + b) if denom == 0.0 else b - fb * (b - a) / denom
+        if guess is not None and a < guess < b:
+            x = guess
+        guess = None
         if x != x:
             x = 0.5 * (a + b)
         end = -1 if x <= a else 1 if x >= b else 0
@@ -58,12 +62,13 @@ def illinois_root(f, a: float, b: float, fa: float, fb: float,
     return 0.5 * (a + b)
 
 
-def illinois_root_many(f, a, b, fa, fb) -> np.ndarray:
+def illinois_root_many(f, a, b, fa, fb, guess=None) -> np.ndarray:
     """`illinois_root` with `xtol=XTOL` on each element of the bracket arrays.
 
-    Every element takes the steps the scalar root takes on it.  After each
-    step only the elements still running are kept, and f(x, idx) is called
-    with their points x and their indices idx into the input arrays.
+    Every element takes the steps the scalar root takes on it, with its
+    element of `guess`.  After each step only the elements still running
+    are kept, and f(x, idx) is called with their points x and their
+    indices idx into the input arrays.
     """
     a, b, fa, fb = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, fa, fb)))
     out = np.empty_like(a)
@@ -76,6 +81,9 @@ def illinois_root_many(f, a, b, fa, fb) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x = b - fb * (b - a) / denom
         x = np.where((denom == 0.0) | np.isnan(x), mid, x)
+        if guess is not None:
+            x = np.where((a < guess) & (guess < b), guess, x)
+            guess = None
         lo, hi = x <= a, x >= b
         x = np.minimum(np.maximum(x, np.nextafter(a, b)), np.nextafter(b, a))
         again = (lo & lo_nudged) | (hi & hi_nudged)  # a second nudge of one end bisects

@@ -240,6 +240,28 @@ def bisection_star_map(spec, u, rho):
     return natural_param(spec, lo)
 
 
+def max_poly_tangent_exit(normals, ux, uy, rho):
+    """Tangent vertex and exit parameter of a polygonal gauge, from the max facet.
+
+    Starts the visibility walk at the first facet of largest support, found
+    by scanning every facet.  Kept as the oracle for the bisection on corner
+    angles in `rho_planes.chords._poly_tangent_exit`.
+    """
+    m = len(normals)
+    k = max(range(m), key=lambda i: normals[i][0] * ux + normals[i][1] * uy)
+    for _ in range(m):
+        k = (k + 1) % m
+        if normals[k][0] * ux + normals[k][1] * uy < rho:
+            break
+    (ax, ay), (bx, by) = normals[k - 1], normals[k]
+    det = ax * by - ay * bx
+    px, py = rho * (by - ay) / det, rho * (ax - bx) / det
+    dx, dy = px - ux, py - uy
+    t = min((1.0 - (nx * ux + ny * uy)) / s
+            for nx, ny in normals if (s := nx * dx + ny * dy) > 0.0)
+    return px, py, t
+
+
 def single_linkage_clusters(points, radius):
     """Fixed-radius single-linkage pass; returns cluster centroids by angle.
 

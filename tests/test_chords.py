@@ -10,12 +10,12 @@ from rho_planes import (DegenerateChordError, DomainError, NormSpec, NumericalEr
                         midpoint_check, natural_param, precedes, star_map,
                         wedge)
 
-from rho_planes.chords import star_map_many
-from rho_planes.norms import _line_min
+from rho_planes.chords import _poly_tangent_exit, _poly_tangent_exit_many, star_map_many
+from rho_planes.norms import _line_min, unit_points
 
 from conftest import (EUCLID, IPS_SPECS, LP4, LP15, QUAD14, QUAD213, SQUARE,
                       bisection_star_map, euclid_star_angle, golden_min,
-                      grid_chord_min, quad_star_oracle, spec_ids)
+                      grid_chord_min, max_poly_tangent_exit, quad_star_oracle, spec_ids)
 
 TWO_PI = 2.0 * math.pi
 
@@ -199,6 +199,33 @@ def test_star_map_many_matches_scalar_star_map(spec):
             got = (ux[i], uy[i], vx[i], vy[i])
             want = u.coords + v.coords
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13, (theta, rho)
+
+
+POLY_EXIT_SPECS = [NormSpec.lp(1), SQUARE, ORACLE_SPECS[-2]]
+
+
+@pytest.mark.parametrize("spec", POLY_EXIT_SPECS, ids=["lp:1", "square", "random-8gon"])
+def test_bisected_polygon_exit_matches_the_max_facet_oracle(spec, rng):
+    """The facet found by bisecting the corner angles gives the max-facet result bit for bit.
+
+    At a corner both facets support u; either start of the visibility walk
+    ends at the same facet.
+    """
+    corners = list(spec.corner_angles)
+    thetas = sorted(set(rng.uniform(0.0, TWO_PI, 200)) | set(corners)
+                    | {math.nextafter(c, 7.0) for c in corners}
+                    | {math.nextafter(c, -1.0) % TWO_PI for c in corners}
+                    | {k * math.pi / 4 for k in range(8)})
+    for rho in (0.05, 0.3, 0.5, math.cos(math.pi / 5), 0.98, 1.0 - 1e-9):
+        ux, uy = unit_points(spec, np.array(thetas))
+        many = _poly_tangent_exit_many(spec, np.array(thetas), ux, uy, rho)
+        for i, theta in enumerate(thetas):
+            u = natural_param(spec, theta)
+            want = max_poly_tangent_exit(spec.normals, u.x, u.y, rho)
+            assert _poly_tangent_exit(spec, u, rho) == want, (theta, rho)
+            # numpy's cos and sin may round the seed differently from math's
+            want = max_poly_tangent_exit(spec.normals, float(ux[i]), float(uy[i]), rho)
+            assert tuple(float(v[i]) for v in many) == want, (theta, rho)
 
 
 @pytest.mark.parametrize("spec", [EUCLID, LP4, SQUARE], ids=["euclid", "lp:4", "square"])

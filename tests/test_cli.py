@@ -8,6 +8,7 @@ import pytest
 
 from rho_planes import (NormSpec, RhoPlanesError, build_polygon, even_probe,
                         rho_from_kn, sector_area, sweep)
+from rho_planes import cli
 from rho_planes.cli import _build_parser, main
 
 
@@ -458,3 +459,66 @@ def test_a_flag_that_does_not_repeat_may_be_given_only_once(argv, entries, tmp_p
     assert out == ""
     assert "may be given only once" in json.loads(err)["error"]["message"]
 
+
+
+def test_an_unexpected_exception_exits_4_with_one_json_record(monkeypatch, capsys):
+    def broken(conf):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "check", broken)
+    code, out, err = run(["check", "--spec", "euclid", "--rho", "0.5"], capsys)
+    assert code == 4
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "internal"
+    assert error["message"].startswith("ValueError: boom (at test_cli.py:")
+
+
+def test_a_nan_in_a_json_output_is_an_internal_error(monkeypatch, capsys):
+    class NanReport:
+        passed = True
+
+        def to_dict(self):
+            return {"max_dev": math.nan}
+
+    monkeypatch.setattr(cli, "check_midpoint_property", lambda *args: NanReport())
+    code, out, err = run(["check", "--spec", "euclid", "--rho", "0.5"], capsys)
+    assert code == 4
+    assert out == ""
+    assert "not JSON compliant" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--spec", "euclid", "--rho", "0.5", "--samples", "16"],
+    ["polygon", "--spec", "lp:3", "--rho", "0.5", "--max-steps", "40"],
+    ["sweep", "--spec", "euclid", "--rhos", "0.3,0.5", "--samples", "16"],
+], ids=["check", "polygon", "sweep"])
+def test_json_outputs_are_one_line(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.endswith("}\n") and out.count("\n") == 1
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+# ROADMAP item 1: rho within a few floats of 1 on inner-product norms.  The
+# star map's roots first try the inner-product answer, which resolves these.
+@pytest.mark.parametrize("spec, rho", [
+    ("euclid", 1.0 - 2.0 ** -53), ("euclid", 1.0 - 2.0 ** -52),
+    ("quad:2,1,3", 1.0 - 2.0 ** -52), ("quad:2,1,3", 1.0 - 2.0 ** -51),
+])
+def test_check_passes_on_inner_product_norms_next_to_rho_1(spec, rho, capsys):
+    code, out, _ = run(["check", "--spec", spec, "--rho", repr(rho)], capsys)
+    assert code == 0
+    assert json.loads(out)["report"]["max_dev"] <= 1.7e-15
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="ROADMAP item 1: wrong verdict on a thin ellipse near rho = 1")
+@pytest.mark.parametrize("spec, rho", [
+    ("quad:1,0,1e-12", 0.9999997), ("quad:1,3.813784741e-7,1.444e-12", 0.9999996826950028),
+])
+def test_check_passes_on_thin_ellipses_near_rho_1(spec, rho, capsys):
+    code, out, _ = run(["check", "--spec", spec, "--rho", repr(rho)], capsys)
+    assert code == 0

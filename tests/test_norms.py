@@ -137,6 +137,26 @@ def test_value_many_matches_value_at_extreme_scales(spec):
                 assert (float(gx[0]), float(gy[0])) == pytest.approx(want, rel=1e-12)
 
 
+POLY14 = NormSpec.polygon([(1.3 * math.cos(a), math.sin(a))
+                           for a in (k * math.pi / 7 + 0.05 * (k % 3) for k in range(7))])
+
+
+@pytest.mark.parametrize("spec", [NormSpec.lp(1), SQUARE, POLY14], ids=["lp:1", "square", "14-gon"])
+def test_facet_gauge_folds_to_the_max_over_all_facets(spec, rng):
+    """`value_many` folds the facets one at a time and equals the facets x points max."""
+    assert len(POLY14.normals) == 14
+    x = np.concatenate([rng.normal(size=500) * 10.0 ** rng.uniform(-200, 200, 500),
+                        [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]])
+    y = np.concatenate([rng.normal(size=500), [0.0, 0.0, 1.0, 1.0, math.inf, 0.0]])
+    nx, ny = np.array(spec.normals).T
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.max(np.multiply.outer(nx, x) + np.multiply.outer(ny, y), axis=0)
+        got = spec.value_many(x, y)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(spec.value_many(x.reshape(2, -1), y.reshape(2, -1)),
+                              want.reshape(2, -1), equal_nan=True)
+
+
 def test_lp1_is_the_diamond_polygon():
     l1 = NormSpec.lp(1)
     assert l1.corner_angles == DIAMOND.corner_angles
