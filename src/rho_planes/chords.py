@@ -114,12 +114,12 @@ def star_map(spec: NormSpec, u, rho: float) -> UnitPoint:
 
 
 def _failed_gap(gap):
-    """Whether u* lies too close to -u, or at u itself, to be resolved."""
-    return (gap >= math.pi - ANTIPODAL_GUARD) | (gap == 0.0)
+    """Whether u* lies too close to -u, at u itself, or nowhere (a NaN gap)."""
+    return np.logical_not((0.0 < gap) & (gap < math.pi - ANTIPODAL_GUARD))
 
 
 def _gap_error(theta, gap, rho):
-    if gap == 0.0:
+    if not gap > 0.0:  # zero, or NaN from an exit line that never leaves u
         return "star map could not leave the seed angle"
     return (f"star-map bracket failure: chords from theta={theta:.6f} "
             f"never dip below rho={rho}")
@@ -141,7 +141,8 @@ def star_map_many(spec: NormSpec, thetas, rho: float):
         px, py, t = _poly_tangent_exit_many(spec, thetas, ux, uy, rho)
     else:
         px, py, t = _smooth_tangent_exit_many(spec, thetas, ux, uy, rho)
-    sx, sy = ux + t * (px - ux), uy + t * (py - uy)
+    with np.errstate(invalid="ignore"):  # t = inf on a null step: a NaN gap, failed below
+        sx, sy = ux + t * (px - ux), uy + t * (py - uy)
     gap = np.mod(np.arctan2(sy, sx) - thetas, TWO_PI)
     errors = {int(i): _gap_error(float(thetas[i]), gap[i], rho)
               for i in np.flatnonzero(_failed_gap(gap))}

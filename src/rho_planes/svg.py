@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conics import ConicForm, conic_radius
+from .conics import ConicForm
 from .errors import DomainError
 from .norms import NormSpec, unit_points
 
@@ -29,7 +29,7 @@ _SCALE = CANVAS / (2.0 * VIEW_HALF)
 @dataclass(frozen=True)
 class Curve:
     layer: str
-    points: list[tuple[float, float]]
+    points: np.ndarray  # (n, 2) world coordinates
     closed: bool = True
     stroke: str = "#000000"
     width: float = 1.5
@@ -39,13 +39,14 @@ class Curve:
 @dataclass(frozen=True)
 class Markers:
     layer: str
-    points: list[tuple[float, float]]
+    points: np.ndarray  # (n, 2) world coordinates
     fill: str = "#000000"
 
 
 @dataclass(frozen=True)
 class Labels:
-    items: list[tuple[float, float, str]]
+    points: np.ndarray  # (n, 2) world coordinates where each text starts
+    texts: list[str]
     fill: str = "#000000"
 
 
@@ -56,36 +57,34 @@ class Scene:
     labels: list[Labels] = field(default_factory=list)
 
 
-def _px(x: float, y: float) -> tuple[float, float]:
-    return (x + VIEW_HALF) * _SCALE, (VIEW_HALF - y) * _SCALE
+def _pixels(points) -> np.ndarray:
+    """World (n, 2) points to canvas pixels, y pointing down."""
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    with np.errstate(over="ignore"):  # an overflowing pixel is inf, as in Python floats
+        return np.column_stack(((p[:, 0] + VIEW_HALF) * _SCALE, (VIEW_HALF - p[:, 1]) * _SCALE))
 
 
-def circle_points(spec: NormSpec, scale: float = 1.0) -> list[tuple[float, float]]:
+def circle_points(spec: NormSpec) -> np.ndarray:
     thetas = np.linspace(0.0, 2.0 * math.pi, CURVE_POINTS, endpoint=False)
-    x, y = unit_points(spec, thetas)
-    return [(scale * float(a), scale * float(b)) for a, b in zip(x, y)]
+    return np.column_stack(unit_points(spec, thetas))
 
 
-def conic_points(conic: ConicForm) -> list[tuple[float, float]]:
-    pts = []
-    for i in range(CURVE_POINTS):
-        theta = 2.0 * math.pi * i / CURVE_POINTS
-        r = conic_radius(conic, theta)
-        pts.append((r * math.cos(theta), r * math.sin(theta)))
-    return pts
+def conic_points(conic: ConicForm) -> np.ndarray:
+    """`conic_radius` along the curve angles, in its own operation order."""
+    theta = 2.0 * math.pi * np.arange(CURVE_POINTS) / CURVE_POINTS
+    c, s = np.cos(theta), np.sin(theta)
+    r = 1.0 / np.sqrt(conic.a * c * c + conic.b * c * s + conic.c * s * s)
+    return np.column_stack((r * c, r * s))
 
 
-def _poly_attr(points, closed) -> str:
-    coords = " ".join(f"{_px(x, y)[0]:.3f},{_px(x, y)[1]:.3f}" for x, y in points)
+def _poly_attr(points, closed) -> tuple[str, str]:
+    px = _pixels(points)
+    coords = " ".join(["%.3f,%.3f"] * len(px)) % tuple(px.ravel().tolist())
     return coords, "polygon" if closed else "polyline"
 
 
 def render_svg(scene: Scene, comment: str | None = None) -> str:
     """Render a scene to an SVG document string (bytes are config-determined)."""
-    for curve in scene.curves:
-        for x, y in curve.points:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise DomainError("non-finite curve coordinate")
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
         f'viewBox="0 0 {CANVAS} {CANVAS}">',
@@ -97,6 +96,8 @@ def render_svg(scene: Scene, comment: str | None = None) -> str:
     drawables: list[tuple[int, int, str]] = []
     seq = 0
     for curve in scene.curves:
+        if not np.isfinite(curve.points).all():
+            raise DomainError("non-finite curve coordinate")
         coords, tag = _poly_attr(curve.points, curve.closed)
         dash = f' stroke-dasharray="{curve.dash}"' if curve.dash else ""
         drawables.append((_LAYER_ORDER[curve.layer], seq,
@@ -105,15 +106,13 @@ def render_svg(scene: Scene, comment: str | None = None) -> str:
         seq += 1
     r = VERTEX_RADIUS * _SCALE
     for marks in scene.markers:
-        for x, y in marks.points:
-            px, py = _px(x, y)
+        for px, py in _pixels(marks.points).tolist():
             drawables.append((_LAYER_ORDER[marks.layer], seq,
                               f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{r:.3f}" '
                               f'fill="{marks.fill}"/>'))
             seq += 1
     for labels in scene.labels:
-        for x, y, text in labels.items:
-            px, py = _px(x, y)
+        for (px, py), text in zip(_pixels(labels.points).tolist(), labels.texts):
             drawables.append((_LAYER_ORDER["labels"], seq,
                               f'<text x="{px:.3f}" y="{py:.3f}" font-family="sans-serif" '
                               f'font-size="{LABEL_SIZE}" fill="{labels.fill}">{text}</text>'))
@@ -128,18 +127,20 @@ def render_svg(scene: Scene, comment: str | None = None) -> str:
 def sphere_scene(spec: NormSpec, rho: float | None = None) -> Scene:
     """Unit circle, optionally with its rho-homothet."""
     scene = Scene()
-    scene.curves.append(Curve("sphere", circle_points(spec), stroke="#000000", width=2.0))
+    sphere = circle_points(spec)
+    scene.curves.append(Curve("sphere", sphere, stroke="#000000", width=2.0))
     if rho is not None:
-        scene.curves.append(Curve("homothet", circle_points(spec, scale=rho),
+        scene.curves.append(Curve("homothet", rho * sphere,
                                   stroke="#888888", width=1.2, dash="6,4"))
     return scene
 
 
 def add_polygon_layer(scene: Scene, vertices: list[tuple[float, float]],
                       closed: bool) -> None:
-    scene.curves.append(Curve("polygon", list(vertices), closed=closed,
+    points = np.asarray(vertices, dtype=float)
+    scene.curves.append(Curve("polygon", points, closed=closed,
                               stroke="#c22222", width=1.6))
-    scene.markers.append(Markers("polygon", list(vertices), fill="#c22222"))
+    scene.markers.append(Markers("polygon", points, fill="#c22222"))
 
 
 def add_ellipse_layer(scene: Scene, conic: ConicForm) -> None:
@@ -148,7 +149,6 @@ def add_ellipse_layer(scene: Scene, conic: ConicForm) -> None:
 
 
 def add_marked_points(scene: Scene, points: list[tuple[float, float, str]]) -> None:
-    scene.markers.append(Markers("polygon", [(x, y) for x, y, _ in points],
-                                 fill="#106010"))
-    scene.labels.append(Labels([(x + 0.03, y + 0.03, t) for x, y, t in points],
-                               fill="#106010"))
+    xy = np.array([(x, y) for x, y, _ in points], dtype=float)
+    scene.markers.append(Markers("polygon", xy, fill="#106010"))
+    scene.labels.append(Labels(xy + 0.03, [t for _, _, t in points], fill="#106010"))

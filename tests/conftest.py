@@ -8,8 +8,10 @@ import pytest
 from rho_planes import (NormSpec, NumericalError, as_unit_point, midpoint_check,
                         natural_param)
 from rho_planes.chords import ANTIPODAL_GUARD
+from rho_planes.conics import conic_radius
 from rho_planes.lab import _AXIS_ANGLES
-from rho_planes.norms import TWO_PI, _line_min
+from rho_planes.norms import TWO_PI, _line_min, unit_points
+from rho_planes.svg import _SCALE, CURVE_POINTS, VIEW_HALF
 
 EUCLID = NormSpec.euclidean()
 QUAD14 = NormSpec.quadratic(1, 0, 4)
@@ -290,7 +292,11 @@ def single_linkage_clusters(points, radius):
 
 
 def check_seeds(samples):
-    """The seed angles of `check_midpoint_property`: a uniform grid plus the axes."""
+    """The seed angles of `check_midpoint_property`: a uniform grid plus the axes.
+
+    A set comprehension, kept as the oracle for the checker's sorted and
+    deduplicated array grid.
+    """
     return sorted({(TWO_PI * j) / samples for j in range(samples)} | set(_AXIS_ANGLES))
 
 
@@ -315,3 +321,36 @@ def scalar_check(spec, rho, samples):
     if worst < 0.0:
         raise NumericalError(f"{len(failures)} of {len(thetas)} seeds failed; first {failures[0]}")
     return worst, worst_theta, "; ".join(failures)
+
+
+def per_point_coords(points):
+    """The `points` attribute of an SVG curve, one pixel transform and f-string per point.
+
+    Kept as the oracle for the array formatter `rho_planes.svg._poly_attr`.
+    """
+    def px(x, y):
+        return (x + VIEW_HALF) * _SCALE, (VIEW_HALF - y) * _SCALE
+    return " ".join(f"{px(x, y)[0]:.3f},{px(x, y)[1]:.3f}" for x, y in points)
+
+
+def per_point_conic(conic):
+    """The SVG conic polyline built from one `conic_radius` call per point.
+
+    Kept as the oracle for the array curve `rho_planes.svg.conic_points`.
+    """
+    pts = []
+    for i in range(CURVE_POINTS):
+        theta = 2.0 * math.pi * i / CURVE_POINTS
+        r = conic_radius(conic, theta)
+        pts.append((r * math.cos(theta), r * math.sin(theta)))
+    return pts
+
+
+def scaled_circle(spec, scale):
+    """The SVG unit-circle polyline scaled point by point in Python floats.
+
+    Kept as the oracle for the homothet layer of `rho_planes.svg.sphere_scene`.
+    """
+    thetas = np.linspace(0.0, 2.0 * math.pi, CURVE_POINTS, endpoint=False)
+    x, y = unit_points(spec, thetas)
+    return [(scale * float(a), scale * float(b)) for a, b in zip(x, y)]

@@ -239,6 +239,21 @@ def test_star_map_many_fails_a_seed_with_the_scalar_message(spec):
         assert errors[i] == str(info.value)
 
 
+# a corner seed two floats below rho = 1: the tangent vertex is u to rounding, no
+# facet is ahead along it, the exit parameter is inf and the gap is NaN
+NAN_GAP_TEXT = ("poly:1.71114884560502,0.9452815396559903;0.8216928250303454,0.9737345869597073;"
+                "-0.08702523077876606,0.6681548609856984")
+NAN_GAP_SPEC = NormSpec.parse(NAN_GAP_TEXT)
+NAN_GAP_THETA, NAN_GAP_RHO = 0.5047031705523816, 0.9999999999999998
+
+
+def test_nan_gap_is_a_recorded_seed_failure():
+    with pytest.raises(NumericalError, match="could not leave the seed angle") as info:
+        star_map(NAN_GAP_SPEC, natural_param(NAN_GAP_SPEC, NAN_GAP_THETA), NAN_GAP_RHO)
+    *_, errors = star_map_many(NAN_GAP_SPEC, [NAN_GAP_THETA, 1.0], NAN_GAP_RHO)
+    assert errors == {0: str(info.value)}
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
 def test_midpoint_check_matches_chord_min_midpoint(spec, rng):
     thetas = list(rng.uniform(0.0, TWO_PI, 12)) + list(spec.corner_angles)

@@ -11,6 +11,8 @@ from rho_planes import (NormSpec, RhoPlanesError, build_polygon, even_probe,
 from rho_planes import cli
 from rho_planes.cli import _build_parser, main
 
+from test_chords import NAN_GAP_RHO, NAN_GAP_TEXT, NAN_GAP_THETA
+
 
 @pytest.fixture(autouse=True)
 def reproducible_env(monkeypatch):
@@ -84,6 +86,15 @@ def test_numerical_failure_exit_code(capsys):
                         "--seed", "0"], capsys)
     assert code == 3
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "numerical"
+
+
+def test_nan_star_map_gap_is_a_numerical_error(capsys):
+    code, out, err = run(["polygon", "--spec", NAN_GAP_TEXT, "--rho", repr(NAN_GAP_RHO),
+                          "--seed", repr(NAN_GAP_THETA), "--max-steps", "5"], capsys)
+    assert code == 3
+    assert out == ""
+    [line] = err.splitlines()
+    assert json.loads(line)["error"]["type"] == "numerical"
 
 
 def test_check_huge_p_gives_a_finite_answer(capsys):

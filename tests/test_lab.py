@@ -12,7 +12,12 @@ from rho_planes import (DomainError, NonClosingError, NormSpec, NumericalError,
                         sector_partition_suite, sweep, sweep_to_csv,
                         sweep_to_json, total_ball_area)
 
-from conftest import EUCLID, IPS_SPECS, LP4, QUAD14, SQUARE, scalar_check, spec_ids
+from rho_planes import lab
+from rho_planes.chords import star_map_many
+from rho_planes.lab import MAX_CHECK_SAMPLES
+
+from conftest import (EUCLID, IPS_SPECS, LP4, QUAD14, SQUARE, check_seeds, scalar_check,
+                      spec_ids)
 from test_chords import ORACLE_IDS, ORACLE_SPECS
 
 TWO_PI = 2.0 * math.pi
@@ -49,6 +54,19 @@ def test_check_quad_substitution_case():
 def test_check_axis_angles_always_sampled():
     rep = check_midpoint_property(SQUARE, 1 / 3, samples=10)
     assert rep.max_midpoint_deviation >= 0.16  # pi/4 seed is forced in
+
+
+def test_check_seed_grid_matches_the_set_oracle(monkeypatch):
+    grids = []
+
+    def recording(spec, thetas, rho):
+        grids.append(thetas)
+        return star_map_many(spec, thetas, rho)
+
+    monkeypatch.setattr(lab, "star_map_many", recording)
+    for samples in [*range(8, 600, 7), 599, 1000, 4096, MAX_CHECK_SAMPLES]:
+        check_midpoint_property(EUCLID, 0.5, samples)
+        assert grids[-1].tolist() == check_seeds(samples), samples
 
 
 def test_check_never_passes_vacuously():
