@@ -6,15 +6,13 @@ origin-centered ellipse through u, (u + u*)/(2*rho), and u*.  Fitting is a
 expressed through Birkhoff orthogonality to the conic's tangent direction.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeometryError
 from .chords import star_map
-from .norms import (ORTHO_TOL, NormSpec, as_unit_point, birkhoff_orthogonality_defect,
-                    is_birkhoff_orthogonal, _xy)
+from .norms import NormSpec, as_unit_point, is_birkhoff_orthogonal, _xy
 
 
 @dataclass(frozen=True)
@@ -31,14 +29,6 @@ def conic_eval(conic: ConicForm, v) -> float:
     """Quadratic form value; equals 1 exactly on the conic."""
     x, y = _xy(v)
     return conic.a * x * x + conic.b * x * y + conic.c * y * y
-
-
-def conic_tangent_dir(conic: ConicForm, v) -> tuple[float, float]:
-    """Tangent direction of the conic at a point on it (gradient rotated)."""
-    x, y = _xy(v)
-    gx = 2.0 * conic.a * x + conic.b * y
-    gy = conic.b * x + 2.0 * conic.c * y
-    return -gy, gx
 
 
 def _solve3(rows, rhs):
@@ -73,14 +63,6 @@ def fit_rho_ellipse(u, u_star, rho: float) -> ConicForm:
     return ConicForm(a, b, c, cond)
 
 
-def _star_tangency_defect(spec: NormSpec, u, rho: float) -> float:
-    """Birkhoff defect of u against (1 - 2*rho^2)*u + u*."""
-    up = as_unit_point(spec, u)
-    st = star_map(spec, up, rho)
-    coef = 1.0 - 2.0 * rho * rho
-    return birkhoff_orthogonality_defect(spec, up, (coef * up.x + st.x, coef * up.y + st.y))
-
-
 def tangency_star(spec: NormSpec, u, rho: float) -> bool:
     """Whether u is Birkhoff-orthogonal to (1 - 2*rho^2)*u + u*.
 
@@ -88,7 +70,10 @@ def tangency_star(spec: NormSpec, u, rho: float) -> bool:
     unit circle to be tangent at u.  When rho^2 = 1/2 the direction
     degenerates to u* itself, which stays well defined.
     """
-    return _star_tangency_defect(spec, u, rho) <= ORTHO_TOL
+    up = as_unit_point(spec, u)
+    st = star_map(spec, up, rho)
+    coef = 1.0 - 2.0 * rho * rho
+    return is_birkhoff_orthogonal(spec, up, (coef * up.x + st.x, coef * up.y + st.y))
 
 
 def tangency_dstar(spec: NormSpec, u, rho: float) -> bool:
@@ -103,9 +88,3 @@ def tangency_dstar(spec: NormSpec, u, rho: float) -> bool:
     d = (-up.x - coef * st.x, -up.y - coef * st.y)
     return is_birkhoff_orthogonal(spec, st, d)
 
-
-def conic_radius(conic: ConicForm, theta: float) -> float:
-    """Distance from the origin to the conic along direction theta."""
-    c, s = math.cos(theta), math.sin(theta)
-    q = conic.a * c * c + conic.b * c * s + conic.c * s * s
-    return 1.0 / math.sqrt(q)

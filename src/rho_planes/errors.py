@@ -31,7 +31,3 @@ class NonClosingError(RhoPlanesError):
 
 class GeometryError(RhoPlanesError):
     """Inconsistent geometric inputs (e.g. an indefinite conic fit)."""
-
-
-class ClassificationError(RhoPlanesError):
-    """Polygon classification requested for a non-closed orbit."""

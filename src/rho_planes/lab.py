@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonClosingError, NumericalError
-from .norms import ORTHO_TOL, TWO_PI, NormSpec, UnitPoint, natural_param, wedge
+from .norms import TWO_PI, NormSpec, UnitPoint, natural_param, wedge
 from .chords import frame_grid, star_map_many
-from .conics import _star_tangency_defect
 from .polygons import STATUS_CLOSED, RhoPolygon, build_polygon, rho_from_kn
 from .areas import DEFAULT_SAMPLES, sector_area, total_ball_area
 
@@ -108,16 +107,6 @@ class EvenProbeRecord:
     sector_sum: float | None
     ball_area: float
     notes: str = ""
-
-
-@dataclass(frozen=True)
-class SelfTangencyScan:
-    """Best self-tangency candidate found on a grid; may honestly find none."""
-
-    found: bool
-    theta: float
-    defect: float
-    tol: float
 
 
 def check_midpoint_property(spec: NormSpec, rho: float,
@@ -295,22 +284,6 @@ def even_probe(spec: NormSpec, k: int, n: int, seed_theta: float) -> EvenProbeRe
                            pv.status, pv.n, anti, pw.status, w_defect,
                            disjoint, len(part.areas), part.spread,
                            sum(part.areas), ball, "; ".join(notes))
-
-
-def scan_self_tangency(spec: NormSpec, rho: float, samples: int = 64) -> SelfTangencyScan:
-    """Search a grid for a unit point where the supporting-line condition holds.
-
-    Reports the smallest Birkhoff defect of u against (1-2*rho^2)u + u* and
-    whether it clears ORTHO_TOL; "not found below tolerance" is a valid
-    outcome for norms without the midpoint-support property.
-    """
-    best, best_theta = math.inf, 0.0
-    for j in range(samples):
-        theta = TWO_PI * j / samples
-        defect = abs(_star_tangency_defect(spec, natural_param(spec, theta), rho))
-        if defect < best:
-            best, best_theta = defect, theta
-    return SelfTangencyScan(best <= ORTHO_TOL, best_theta, best, ORTHO_TOL)
 
 
 @dataclass(frozen=True)

@@ -57,17 +57,6 @@ class UnitPoint:
                          (-self.coords[0], -self.coords[1]))
 
 
-@dataclass(frozen=True)
-class TangentCheck:
-    """Finite-difference tangent of the unit circle versus the orthogonal direction."""
-
-    theta: float
-    fd_tangent: tuple[float, float]
-    perp_dir: tuple[float, float]
-    collinearity_residual: float
-    p_estimate: float
-
-
 class NormSpec:
     """A symmetric convex gauge on the plane.
 
@@ -361,12 +350,6 @@ def _edge_normals(verts):
 # -- basic operations -------------------------------------------------------
 
 
-def eval_norm(spec: NormSpec, v) -> float:
-    """Gauge of a plane point: 0 iff v = 0, absolutely homogeneous."""
-    x, y = _xy(v)
-    return spec.value(x, y)
-
-
 def natural_param(spec: NormSpec, theta: float) -> UnitPoint:
     """The unit-circle point in direction theta: (cos t, sin t) / gauge.
 
@@ -395,15 +378,6 @@ def wedge(u, v) -> float:
     return ux * vy - uy * vx
 
 
-def precedes(u, v) -> bool:
-    """True iff u comes before v within a positively oriented half-turn."""
-    ux, uy = _xy(u)
-    vx, vy = _xy(v)
-    if (ux == 0.0 and uy == 0.0) or (vx == 0.0 and vy == 0.0):
-        raise DomainError("orientation of the zero vector is undefined")
-    return ux * vy - uy * vx > 0.0
-
-
 def as_unit_point(spec: NormSpec, v) -> UnitPoint:
     """Coerce a plane point to a UnitPoint, checking it lies on the unit circle."""
     if isinstance(v, UnitPoint):
@@ -420,14 +394,7 @@ def as_unit_point(spec: NormSpec, v) -> UnitPoint:
 def is_birkhoff_orthogonal(spec: NormSpec, u, v) -> bool:
     """Birkhoff orthogonality u _|_ v: no multiple of v pulls u closer to 0.
 
-    Minimizes ||u + lambda*v|| and compares against ||u||.
-    """
-    return birkhoff_orthogonality_defect(spec, u, v) <= ORTHO_TOL
-
-
-def birkhoff_orthogonality_defect(spec: NormSpec, u, v) -> float:
-    """||u|| minus the best achievable ||u + lambda*v||; 0 means orthogonal.
-
+    The defect ||u|| - min ||u + lambda*v|| is compared against ORTHO_TOL.
     The segment |lambda| <= r = 2||u||/||v|| always contains the global
     minimizer, so the defect is one line minimum over [u - r*v, u + r*v].
     """
@@ -439,7 +406,7 @@ def birkhoff_orthogonality_defect(spec: NormSpec, u, v) -> float:
         raise DomainError("Birkhoff orthogonality needs nonzero vectors")
     r = 2.0 * nu / nv
     fmin, _, _ = _line_min(spec, ux - r * vx, uy - r * vy, 2.0 * r * vx, 2.0 * r * vy)
-    return nu - fmin
+    return nu - fmin <= ORTHO_TOL
 
 
 def _line_min(spec: NormSpec, ux, uy, dx, dy):
@@ -527,23 +494,3 @@ def perp_points(spec: NormSpec, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
     n = spec.value_many(-gy, gx)
     return -gy / n, gx / n
 
-
-def tangent_check(spec: NormSpec, theta: float, h: float) -> TangentCheck:
-    """Compare the finite-difference tangent of s with the orthogonal direction.
-
-    The unit circle of a smooth gauge has s'(theta) parallel to the
-    Birkhoff successor direction; the residual is the Euclidean norm of the
-    component of the centered difference orthogonal to it.
-    """
-    _require_smooth(spec)
-    if not 0.0 < h <= 1e-2:
-        raise DomainError(f"step h must lie in (0, 1e-2], got {h}")
-    sp = natural_param(spec, theta + h)
-    sm = natural_param(spec, theta - h)
-    fx = (sp.x - sm.x) / (2.0 * h)
-    fy = (sp.y - sm.y) / (2.0 * h)
-    tx, ty = birkhoff_successor(spec, natural_param(spec, theta)).coords
-    tlen2 = tx * tx + ty * ty
-    residual = abs(fx * ty - fy * tx) / math.sqrt(tlen2)
-    p_estimate = (fx * tx + fy * ty) / tlen2
-    return TangentCheck(float(theta) % TWO_PI, (fx, fy), (tx, ty), residual, p_estimate)

@@ -10,31 +10,18 @@ accordingly.
 import math
 from dataclasses import dataclass, field
 
-from .errors import ClassificationError, DomainError
+from .errors import DomainError
 from .chords import star_map
-from .norms import TWO_PI, NormSpec, UnitPoint, as_unit_point, wedge
+from .norms import TWO_PI, NormSpec, UnitPoint, as_unit_point
 
 DEFAULT_MAX_STEPS = 2000
+# One star map per step, all held in memory: 100000 steps take about 4 s
+# and write about 7 MB of JSON.
+MAX_STEPS = 100_000
 DEFAULT_CLOSE_TOL = 1e-8
 
 STATUS_CLOSED = "closed"
 STATUS_NON_CLOSING = "non_closing"
-
-
-@dataclass(frozen=True)
-class ClosureRatio:
-    """An odd-gon closure ratio sqrt((1 + cos(2*k*pi/n)) / 2) with n = 2m+1."""
-
-    k: int
-    m: int
-    n: int
-    rho: float
-
-
-@dataclass(frozen=True)
-class PolygonClass:
-    kind: str  # "convex" or "star_shaped"
-    k: int
 
 
 @dataclass(frozen=True)
@@ -66,20 +53,6 @@ def rho_from_kn(k: int, n: int) -> float:
     return math.sqrt((1.0 + math.cos(2.0 * math.pi * k / n)) / 2.0)
 
 
-def closure_ratios(m_max: int) -> list[ClosureRatio]:
-    """All odd-gon closure ratios with m <= m_max, sorted by rho descending.
-
-    Distinct (k, m) pairs are kept as separate entries even when their
-    ratios coincide numerically.
-    """
-    if m_max < 1:
-        raise DomainError(f"m_max must be >= 1, got {m_max}")
-    entries = [ClosureRatio(k, m, 2 * m + 1, rho_from_kn(k, 2 * m + 1))
-               for m in range(1, m_max + 1) for k in range(1, m + 1)]
-    entries.sort(key=lambda e: (-e.rho, e.m, e.k))
-    return entries
-
-
 def build_polygon(spec: NormSpec, u, rho: float, max_steps: int = DEFAULT_MAX_STEPS,
                   close_tol: float = DEFAULT_CLOSE_TOL) -> RhoPolygon:
     """Iterate the star map until the orbit returns to its seed or the budget ends.
@@ -100,6 +73,8 @@ def build_polygon(spec: NormSpec, u, rho: float, max_steps: int = DEFAULT_MAX_ST
     """
     if max_steps < 3:
         raise DomainError(f"max_steps must be >= 3, got {max_steps}")
+    if max_steps > MAX_STEPS:
+        raise DomainError(f"max_steps must be <= {MAX_STEPS}, got {max_steps}")
     seed = as_unit_point(spec, u)
     verts = [seed]
     turning = 0.0
@@ -161,17 +136,3 @@ def polygon_to_dict(poly: RhoPolygon) -> dict:
         "accumulation_points": poly.accumulation_points,
     }
 
-
-def classify(poly: RhoPolygon) -> PolygonClass:
-    """Convex for winding 1, star-shaped for winding >= 2."""
-    if poly.status != STATUS_CLOSED:
-        raise ClassificationError("only closed polygons can be classified")
-    return PolygonClass("convex" if poly.k == 1 else "star_shaped", poly.k)
-
-
-def wedge_sum(poly: RhoPolygon) -> float:
-    """Cyclic sum of consecutive vertex wedges of a closed polygon."""
-    if poly.status != STATUS_CLOSED:
-        raise DomainError("wedge sum is defined for closed polygons only")
-    vs = poly.vertices
-    return sum(wedge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))

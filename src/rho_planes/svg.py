@@ -70,7 +70,8 @@ def circle_points(spec: NormSpec) -> np.ndarray:
 
 
 def conic_points(conic: ConicForm) -> np.ndarray:
-    """`conic_radius` along the curve angles, in its own operation order."""
+    """The conic's radius along the curve angles, in the operation order of
+    the per-point test oracle `per_point_conic` (tests/conftest.py)."""
     theta = 2.0 * math.pi * np.arange(CURVE_POINTS) / CURVE_POINTS
     c, s = np.cos(theta), np.sin(theta)
     r = 1.0 / np.sqrt(conic.a * c * c + conic.b * c * s + conic.c * s * s)

@@ -8,7 +8,6 @@ import pytest
 from rho_planes import (NormSpec, NumericalError, as_unit_point, midpoint_check,
                         natural_param)
 from rho_planes.chords import ANTIPODAL_GUARD
-from rho_planes.conics import conic_radius
 from rho_planes.lab import _AXIS_ANGLES
 from rho_planes.norms import TWO_PI, _line_min, unit_points
 from rho_planes.svg import _SCALE, CURVE_POINTS, VIEW_HALF
@@ -331,6 +330,13 @@ def per_point_coords(points):
     def px(x, y):
         return (x + VIEW_HALF) * _SCALE, (VIEW_HALF - y) * _SCALE
     return " ".join(f"{px(x, y)[0]:.3f},{px(x, y)[1]:.3f}" for x, y in points)
+
+
+def conic_radius(conic, theta):
+    """Distance from the origin to the conic along direction theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    q = conic.a * c * c + conic.b * c * s + conic.c * s * s
+    return 1.0 / math.sqrt(q)
 
 
 def per_point_conic(conic):

@@ -362,7 +362,8 @@ def test_sweep_rhos_outside_the_open_unit_interval_are_usage_errors(rhos, capsys
     ["sweep", "--spec", "euclid", "--rhos", "0.5", "--samples", "4"],
     ["sweep", "--spec", "euclid", "--rhos", "0.5", "--samples", "65537"],
     ["area", "--spec", "euclid", "--alpha", "0", "--beta", "1", "--samples", "1048577"],
-], ids=["check-4", "check-cap+1", "sweep-4", "sweep-cap+1", "area-cap+1"])
+    ["polygon", "--spec", "euclid", "--rho", "0.5", "--max-steps", "100001"],
+], ids=["check-4", "check-cap+1", "sweep-4", "sweep-cap+1", "area-cap+1", "polygon-cap+1"])
 def test_out_of_range_sample_counts_are_usage_errors(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
@@ -533,3 +534,12 @@ def test_check_passes_on_inner_product_norms_next_to_rho_1(spec, rho, capsys):
 def test_check_passes_on_thin_ellipses_near_rho_1(spec, rho, capsys):
     code, out, _ = run(["check", "--spec", spec, "--rho", repr(rho)], capsys)
     assert code == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_check_passes_on_a_rotated_thin_ellipse_at_ordinary_rho(capsys):
+    # eigenvalue ratio 4.6e8, inside the accepted 1e12 bound
+    spec = "quad:5.009715384073066,-10.936170163574989,5.968393896914864"
+    code, out, _ = run(["check", "--spec", spec, "--rho", "0.65"], capsys)
+    assert code == 0
+    assert json.loads(out)["report"]["max_dev"] <= 1e-8

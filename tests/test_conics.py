@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from rho_planes import (GeometryError, UnitPoint, build_polygon, conic_eval,
-                        conic_tangent_dir, fit_rho_ellipse,
-                        is_birkhoff_orthogonal, natural_param, rho_from_kn,
-                        star_map, tangency_dstar, tangency_star)
+                        fit_rho_ellipse, is_birkhoff_orthogonal, natural_param,
+                        rho_from_kn, star_map, tangency_dstar, tangency_star)
 
 from conftest import EUCLID, IPS_SPECS, LP4, QUAD14, SQUARE, grid_min_along, spec_ids
 
@@ -110,19 +109,6 @@ def test_chord_touch_point_on_scaled_conic(spec):
     conic = fit_rho_ellipse(u, u_star, rho)
     mid = ((u.x + u_star.x) / 2, (u.y + u_star.y) / 2)
     assert conic_eval(conic, mid) == pytest.approx(rho * rho, abs=1e-7)
-
-
-def test_conic_tangent_dir_is_tangent():
-    from rho_planes.conics import ConicForm
-    ell = ConicForm(1.0, 0.0, 4.0, 1.0)
-    t = 0.7
-    q = math.cos(t) ** 2 + 4 * math.sin(t) ** 2
-    z = (math.cos(t) / math.sqrt(q), math.sin(t) / math.sqrt(q))
-    assert conic_eval(ell, z) == pytest.approx(1.0, abs=1e-12)
-    dx, dy = conic_tangent_dir(ell, z)
-    eps = 1e-6
-    ahead = conic_eval(ell, (z[0] + eps * dx, z[1] + eps * dy))
-    assert ahead == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("spec", IPS_SPECS, ids=spec_ids(IPS_SPECS))

@@ -8,16 +8,16 @@ import pytest
 from rho_planes import (DomainError, NonClosingError, NormSpec, NumericalError,
                         RhoPlanesError,
                         check_midpoint_property, even_probe, frame_identities,
-                        rho_from_kn, scan_self_tangency,
-                        sector_partition_suite, sweep, sweep_to_csv,
-                        sweep_to_json, total_ball_area)
+                        natural_param, rho_from_kn, sector_partition_suite,
+                        star_map, sweep, sweep_to_csv, sweep_to_json,
+                        tangency_star, total_ball_area)
 
 from rho_planes import lab
 from rho_planes.chords import star_map_many
 from rho_planes.lab import MAX_CHECK_SAMPLES
 
-from conftest import (EUCLID, IPS_SPECS, LP4, QUAD14, SQUARE, check_seeds, scalar_check,
-                      spec_ids)
+from conftest import (EUCLID, IPS_SPECS, LP4, QUAD14, SQUARE, check_seeds, grid_min_along,
+                      scalar_check, spec_ids)
 from test_chords import ORACLE_IDS, ORACLE_SPECS
 
 TWO_PI = 2.0 * math.pi
@@ -214,10 +214,16 @@ def test_out_of_domain_arguments_raise_domain_error(call):
 
 
 def test_self_tangency_scan():
-    assert scan_self_tangency(EUCLID, 0.5, 16).found
-    scan = scan_self_tangency(LP4, 0.5, 16)
-    assert not scan.found
-    assert scan.defect > 1e-6
+    """The supporting-line condition holds on the round circle and nowhere on
+    a 16-point lp:4 grid, where its Birkhoff defect stays above 1e-6."""
+    grid = [TWO_PI * j / 16 for j in range(16)]
+    assert all(tangency_star(EUCLID, natural_param(EUCLID, t), 0.5) for t in grid)
+    for t in grid:
+        u = natural_param(LP4, t)
+        assert not tangency_star(LP4, u, 0.5)
+        st = star_map(LP4, u, 0.5)
+        d = (0.5 * u.x + st.x, 0.5 * u.y + st.y)  # (1 - 2*rho^2) = 0.5
+        assert 1.0 - grid_min_along(LP4, u.coords, d) > 1e-6
 
 
 def test_sweep_shape_and_order():

@@ -1,19 +1,25 @@
-"""Orbit closure, winding classification, and closure-ratio bookkeeping."""
+"""Orbit closure, winding numbers, and closure ratios."""
 
 import math
 
 import numpy as np
 import pytest
 
-from rho_planes import (ClassificationError, DomainError, build_polygon,
-                        classify, closure_ratios, natural_param,
-                        polygon_to_dict, rho_from_kn, wedge_sum)
-from rho_planes.polygons import DEFAULT_CLOSE_TOL, _cluster
+from rho_planes import (DomainError, build_polygon, natural_param,
+                        polygon_to_dict, rho_from_kn, wedge)
+from rho_planes.polygons import DEFAULT_CLOSE_TOL, MAX_STEPS, _cluster
 
 from conftest import EUCLID, IPS_SPECS, QUAD14, SQUARE, single_linkage_clusters, spec_ids
 from test_chords import ORACLE_IDS, ORACLE_SPECS
 
 TWO_PI = 2.0 * math.pi
+
+
+def wedge_sum(poly):
+    """Cyclic sum of consecutive vertex wedges of a closed polygon."""
+    assert poly.status == "closed"
+    vs = poly.vertices
+    return sum(wedge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
 
 
 def test_rho_from_kn_values():
@@ -36,29 +42,12 @@ def test_rho_from_kn_decreasing_in_k():
         assert all(a > b for a, b in zip(rhos, rhos[1:]))
 
 
-def test_closure_ratios_enumeration():
-    assert [(e.k, e.m) for e in closure_ratios(1)] == [(1, 1)]
-    assert closure_ratios(1)[0].rho == pytest.approx(0.5, abs=1e-15)
-
-    two = closure_ratios(2)
-    assert {(e.k, e.m) for e in two} == {(1, 1), (1, 2), (2, 2)}
-    by_km = {(e.k, e.m): e.rho for e in two}
-    assert by_km[(1, 2)] == pytest.approx(math.cos(math.pi / 5), abs=1e-14)
-    assert by_km[(2, 2)] == pytest.approx(math.cos(2 * math.pi / 5), abs=1e-14)
-
-    assert len(closure_ratios(3)) == 6
-    rhos = [e.rho for e in closure_ratios(3)]
-    assert rhos == sorted(rhos, reverse=True)
-    assert all(e.n == 2 * e.m + 1 for e in closure_ratios(3))
-
-
 def test_euclid_pentagon_closure():
     poly = build_polygon(EUCLID, (1, 0), math.cos(math.pi / 5), 100)
     assert poly.status == "closed"
     assert (poly.n, poly.k) == (5, 1)
     for j, v in enumerate(poly.vertices):
         assert v.theta == pytest.approx(TWO_PI * j / 5, abs=1e-9)
-    assert classify(poly).kind == "convex"
 
 
 def test_square_axis_polygon():
@@ -108,9 +97,6 @@ def test_star_polygon_windings_on_euclid(k, n):
     poly = build_polygon(EUCLID, natural_param(EUCLID, 0.123), rho, 200)
     assert poly.status == "closed"
     assert (poly.n, poly.k) == (n, k)
-    cls = classify(poly)
-    assert cls.kind == ("convex" if k == 1 else "star_shaped")
-    assert cls.k == k
     assert poly.coprime is (math.gcd(n, k) == 1)
     assert poly.total_turning == pytest.approx(TWO_PI * k, abs=1e-8)
 
@@ -164,18 +150,11 @@ def test_wedge_sum_examples():
     assert wedge_sum(sq) == pytest.approx(4.0, abs=1e-8)
 
 
-def test_non_closing_inputs_rejected_downstream():
-    poly = build_polygon(SQUARE, natural_param(SQUARE, 0.35), 0.5, 50)
-    assert poly.status == "non_closing"
-    with pytest.raises(ClassificationError):
-        classify(poly)
-    with pytest.raises(DomainError):
-        wedge_sum(poly)
-
-
 def test_build_polygon_validates_steps():
     with pytest.raises(DomainError):
         build_polygon(EUCLID, (1, 0), 0.5, max_steps=2)
+    with pytest.raises(DomainError):
+        build_polygon(EUCLID, (1, 0), 0.5, max_steps=MAX_STEPS + 1)
 
 
 def test_polygon_serialization_shape():
