@@ -7,7 +7,6 @@ summation uses numpy's fixed-order pairwise reduction so results are
 bit-stable run to run.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

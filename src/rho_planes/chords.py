@@ -1,4 +1,4 @@
-"""Chord minima, the star map, and midpoint diagnostics.
+"""The star map, its midpoint diagnostics, and chord frames.
 
 A chord [u, v] of the unit circle carries the convex function
 t -> ||(1-t)u + t*v|| on [0, 1].  The star map sends u to the unique
@@ -12,29 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChordError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .norms import (TWO_PI, NormSpec, UnitPoint, as_unit_point,
-                    birkhoff_successor, natural_param, perp_points,
-                    unit_points, _line_min, _require_smooth)
+                    birkhoff_successor, natural_param, unit_points, _require_smooth)
 from .solve1d import illinois_root, illinois_root_many
 
 ANTIPODAL_GUARD = 1e-9
-
-
-@dataclass(frozen=True)
-class ChordReport:
-    """A chord with its minimum gauge value and midpoint diagnostics.
-
-    argmin_lo/argmin_hi bound the minimizer set; they coincide for smooth
-    (strictly convex) gauges and span the flat piece for polygonal ones.
-    """
-
-    u: UnitPoint
-    v: UnitPoint
-    min_value: float
-    argmin_lo: float
-    argmin_hi: float
-    midpoint_norm: float
 
 
 @dataclass(frozen=True)
@@ -64,25 +47,6 @@ class ChordFrame:
     mu: float
     left: tuple[float, float]
     right: tuple[float, float]
-
-
-def chord_min(spec: NormSpec, u, v) -> ChordReport:
-    """Minimum of t -> ||(1-t)u + t*v|| over [0, 1] with its minimizer interval.
-
-    The line minimum of `norms._line_min`: a slope root on smooth gauges,
-    the exact facet envelope on polygonal ones.
-    """
-    up = as_unit_point(spec, u)
-    vp = as_unit_point(spec, v)
-    if up.coords == vp.coords:  # exact: a fixed tolerance fails on small unit circles
-        raise DegenerateChordError("chord endpoints coincide")
-    ux, uy = up.coords
-    min_value, lo, hi = _line_min(spec, ux, uy, vp.x - ux, vp.y - uy)
-    return ChordReport(up, vp, min_value, lo, hi, _midpoint_norm(spec, up, vp))
-
-
-def _midpoint_norm(spec, up, vp):
-    return spec.value(0.5 * (up.x + vp.x), 0.5 * (up.y + vp.y))
 
 
 def _check_rho(rho: float):
@@ -276,7 +240,7 @@ def midpoint_check(spec: NormSpec, u, rho: float) -> MidpointReport:
     """
     up = as_unit_point(spec, u)
     vp = star_map(spec, up, rho)
-    return MidpointReport(up, vp, _midpoint_norm(spec, up, vp))
+    return MidpointReport(up, vp, spec.value(0.5 * (up.x + vp.x), 0.5 * (up.y + vp.y)))
 
 
 def chord_frame(spec: NormSpec, theta: float, rho: float) -> ChordFrame:
@@ -308,23 +272,3 @@ def _solve_mu(spec, s, t, rho):
         raise NumericalError("mu bracket failure: upper bound does not clear the circle")
     return illinois_root(g, 0.0, hi, rho - 1.0, ghi)
 
-
-def frame_grid(spec: NormSpec, thetas: np.ndarray, rho: float):
-    """Vectorized chord frames on a theta grid.
-
-    Returns (sx, sy, tx, ty, mu) arrays: unit points, successor directions
-    and half-widths, mu by `illinois_root_many` on the bracket of
-    `chord_frame`.  The scalar `chord_frame` is the reference
-    implementation; agreement is covered by tests.
-    """
-    _check_rho(rho)
-    sx, sy = unit_points(spec, thetas)
-    tx, ty = perp_points(spec, thetas)
-    value_many = spec.value_many
-
-    def g(mu, i):
-        return value_many(rho * (sx[i] + mu * tx[i]), rho * (sy[i] + mu * ty[i])) - 1.0
-
-    hi = 1.0 + 1.0 / rho
-    mu = illinois_root_many(g, 0.0, hi, rho - 1.0, g(hi, slice(None)))
-    return sx, sy, tx, ty, mu

@@ -13,11 +13,7 @@ class DomainError(RhoPlanesError):
     """Arguments outside an operation's domain (zero vector, bad rho, ...)."""
 
 
-class DegenerateChordError(DomainError):
-    """Chord endpoints coincide."""
-
-
-class UnsupportedSpecError(RhoPlanesError):
+class UnsupportedSpecError(DomainError):
     """Operation requires a smooth, strictly convex norm."""
 
 

@@ -11,13 +11,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NonClosingError, NumericalError
 from .norms import TWO_PI, NormSpec, UnitPoint, natural_param, wedge
-from .chords import frame_grid, star_map_many
+from .chords import chord_frame, star_map_many
 from .polygons import STATUS_CLOSED, RhoPolygon, build_polygon, rho_from_kn
 from .areas import DEFAULT_SAMPLES, sector_area, total_ball_area
 
@@ -228,7 +228,8 @@ def frame_identities(spec: NormSpec, rho: float, alpha: float, beta: float,
     if not alpha < beta <= alpha + TWO_PI + 1e-12:
         raise DomainError(f"need alpha < beta <= alpha + 2*pi, got [{alpha}, {beta}]")
     thetas = np.linspace(alpha, beta, int(samples) + 1)
-    sx, sy, tx, ty, mu = frame_grid(spec, thetas, rho)
+    frames = [chord_frame(spec, theta, rho) for theta in thetas]
+    sx, sy, tx, ty, mu = np.array([(*f.base.coords, *f.perp.coords, f.mu) for f in frames]).T
     fx, fy = mu * tx, mu * ty
 
     def stieltjes(ax, ay, bx, by):
@@ -286,46 +287,31 @@ def even_probe(spec: NormSpec, k: int, n: int, seed_theta: float) -> EvenProbeRe
                            sum(part.areas), ball, "; ".join(notes))
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    reports: list[PropertyReport] = field(default_factory=list)
-
-    @property
-    def any_ips_failure(self) -> bool:
-        """True when a cell from the inner-product families failed."""
-        return any(not r.passed and NormSpec.parse(r.spec_id).is_ips_family
-                   for r in self.reports)
-
-    def to_dicts(self) -> list[dict]:
-        return [r.to_dict() for r in self.reports]
-
-
 def sweep(specs: list[NormSpec], rhos: list[float],
           samples: int = DEFAULT_CHECK_SAMPLES,
-          tol: float = DEFAULT_CHECK_TOL) -> SweepResult:
+          tol: float = DEFAULT_CHECK_TOL) -> list[PropertyReport]:
     """Midpoint-property reports for every (spec, rho) cell, spec-major; errors are raised."""
     if not specs or not rhos:
         raise DomainError("sweep needs at least one spec and one rho")
-    return SweepResult([check_midpoint_property(spec, rho, samples, tol)
-                        for spec in specs for rho in rhos])
+    return [check_midpoint_property(spec, rho, samples, tol) for spec in specs for rho in rhos]
 
 
-def sweep_to_csv(result: SweepResult, comment: str | None = None) -> str:
+def sweep_to_csv(reports: list[PropertyReport], comment: str | None = None) -> str:
     """Deterministic CSV, one row per cell: spec,rho,samples,max_dev,worst_theta,pass."""
     out = io.StringIO()
     if comment is not None:
         out.write("# " + comment + "\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["spec", "rho", "samples", "max_dev", "worst_theta", "pass"])
-    for r in result.reports:
+    for r in reports:
         writer.writerow([r.spec_id, repr(r.rho), r.samples,
                          repr(r.max_midpoint_deviation), repr(r.worst_theta),
                          "true" if r.passed else "false"])
     return out.getvalue()
 
 
-def sweep_to_json(result: SweepResult, config: dict | None = None) -> str:
-    doc = {"reports": result.to_dicts()}
+def sweep_to_json(reports: list[PropertyReport], config: dict | None = None) -> str:
+    doc = {"reports": [r.to_dict() for r in reports]}
     if config is not None:
         doc["config"] = config
     return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"

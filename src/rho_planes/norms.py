@@ -405,18 +405,15 @@ def is_birkhoff_orthogonal(spec: NormSpec, u, v) -> bool:
     if nu == 0.0 or nv == 0.0:
         raise DomainError("Birkhoff orthogonality needs nonzero vectors")
     r = 2.0 * nu / nv
-    fmin, _, _ = _line_min(spec, ux - r * vx, uy - r * vy, 2.0 * r * vx, 2.0 * r * vy)
-    return nu - fmin <= ORTHO_TOL
+    return nu - _line_min(spec, ux - r * vx, uy - r * vy, 2.0 * r * vx, 2.0 * r * vy) <= ORTHO_TOL
 
 
-def _line_min(spec: NormSpec, ux, uy, dx, dy):
-    """Minimum of t -> N(u + t*d) over [0, 1] with its minimizer interval.
+def _line_min(spec: NormSpec, ux, uy, dx, dy) -> float:
+    """Minimum of t -> N(u + t*d) over [0, 1].
 
-    Returns (min value, lo, hi).  Smooth gauges here are strictly convex, so
-    the minimizer is the one root of the slope D+(t), run until the bracket
-    cannot shrink, and lo == hi.  Polygonal gauges are minimized exactly as
-    an upper envelope of facet functionals, so their flat minima are
-    resolved rather than smeared by value comparisons.
+    Smooth gauges here are strictly convex, so the minimizer is the one
+    root of the slope D+(t).  Polygonal gauges are minimized exactly as an
+    upper envelope of facet functionals.
     """
     if spec.normals is not None:
         return _envelope_min(spec.normals, ux, uy, dx, dy)
@@ -430,16 +427,16 @@ def _line_min(spec: NormSpec, ux, uy, dx, dy):
         t = 0.0
     else:
         s1 = slope(1.0)
-        t = 1.0 if s1 <= 0.0 else illinois_root(slope, 0.0, 1.0, s0, s1, xtol=0.0)
-    return spec.value(ux + t * dx, uy + t * dy), t, t
+        t = 1.0 if s1 <= 0.0 else illinois_root(slope, 0.0, 1.0, s0, s1)
+    return spec.value(ux + t * dx, uy + t * dy)
 
 
 def _envelope_min(normals, ux, uy, dx, dy):
     """Exact minimum of t -> max_i <n_i, u + t*d> on [0, 1].
 
     The restriction of a polygonal gauge to a segment is an upper envelope
-    of affine functions, so its minimum and flat argmin piece sit on
-    pairwise line intersections (or the segment ends); no iteration needed.
+    of affine functions, so its minimum sits on a pairwise line
+    intersection (or a segment end); no iteration needed.
     """
     lines = [(nx * ux + ny * uy, nx * dx + ny * dy) for nx, ny in normals]
 
@@ -456,11 +453,7 @@ def _envelope_min(normals, ux, uy, dx, dy):
                 t = (aj - ai) / (bi - bj)
                 if 0.0 < t < 1.0:
                     cands.append(t)
-    vals = [envelope(t) for t in cands]
-    best = min(vals)
-    cut = best + 1e-13 * (1.0 if best < 1.0 else best)
-    flat = [t for t, v in zip(cands, vals) if v <= cut]
-    return best, min(flat), max(flat)
+    return min(envelope(t) for t in cands)
 
 
 def _require_smooth(spec: NormSpec):
@@ -474,23 +467,10 @@ def birkhoff_successor(spec: NormSpec, u) -> UnitPoint:
     """The unique unit point after u (within a half-turn) orthogonal to u.
 
     For a smooth, strictly convex gauge it points along the gradient at u
-    turned a quarter turn, (-g_y, g_x), as in `perp_points`.
+    turned a quarter turn, (-g_y, g_x).
     """
     _require_smooth(spec)
     up = as_unit_point(spec, u)
     gx, gy = spec.grad(up.x, up.y)
     return natural_param(spec, math.atan2(gx, -gy))
-
-
-def perp_points(spec: NormSpec, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Birkhoff-orthogonal successors of s(theta) for smooth gauges.
-
-    For a smooth norm the successor direction is the gradient rotated a
-    quarter turn; agreement with `birkhoff_successor` is covered by tests.
-    """
-    _require_smooth(spec)
-    sx, sy = unit_points(spec, thetas)
-    gx, gy = spec.grad_many(sx, sy)
-    n = spec.value_many(-gy, gx)
-    return -gy / n, gx / n
 

@@ -14,7 +14,7 @@ XTOL = 1e-15
 
 
 def illinois_root(f, a: float, b: float, fa: float, fb: float,
-                  xtol: float = XTOL, guess: float | None = None) -> float:
+                  guess: float | None = None) -> float:
     """Root of a (possibly discontinuous) sign-changing f on [a, b].
 
     Regula falsi with the Illinois weighting.  A secant point that rounds
@@ -57,13 +57,13 @@ def illinois_root(f, a: float, b: float, fa: float, fb: float,
             if side == 1:
                 fa *= 0.5
             side = 1
-        if b - a <= xtol:
+        if b - a <= XTOL:
             break
     return 0.5 * (a + b)
 
 
 def illinois_root_many(f, a, b, fa, fb, guess=None) -> np.ndarray:
-    """`illinois_root` with `xtol=XTOL` on each element of the bracket arrays.
+    """`illinois_root` on each element of the bracket arrays.
 
     Every element takes the steps the scalar root takes on it, with its
     element of `guess`.  After each step only the elements still running

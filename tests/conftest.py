@@ -170,7 +170,7 @@ def _chord_supports_at_least(spec, ux, uy, vx, vy, rho):
     dx, dy = vx - ux, vy - uy
     value = spec.value
     if spec.normals is not None:
-        return _line_min(spec, ux, uy, dx, dy)[0] >= rho
+        return _line_min(spec, ux, uy, dx, dy) >= rho
     dplus = spec.dplus
     d0 = dplus(ux, uy, dx, dy)
     if d0 >= 0.0:

@@ -3,23 +3,20 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 """
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from rho_planes import (NormSpec, build_polygon, cap_area,
-                        check_midpoint_property, chord_min, conic_eval,
-                        even_probe, fit_rho_ellipse, frame_identities,
-                        midpoint_check, natural_param, rho_from_kn,
-                        sector_area, sector_partition_suite, star_map,
-                        sweep, sweep_to_csv, tangency_dstar, tangency_star,
-                        total_ball_area, wedge)
+from rho_planes import (build_polygon, cap_area, check_midpoint_property,
+                        conic_eval, even_probe, fit_rho_ellipse,
+                        frame_identities, midpoint_check, natural_param,
+                        rho_from_kn, sector_area, sector_partition_suite,
+                        star_map, sweep, sweep_to_csv, tangency_dstar,
+                        tangency_star, total_ball_area, wedge)
 from rho_planes.cli import main as cli_main
 
-from conftest import (EUCLID, LP4, QUAD14, QUAD213, SQUARE, grid_min_along,
-                      spec_ids)
+from conftest import EUCLID, LP4, QUAD14, QUAD213, SQUARE, grid_min_along
 
 TWO_PI = 2.0 * math.pi
 IPS = [EUCLID, QUAD14, QUAD213]

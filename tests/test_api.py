@@ -8,19 +8,29 @@ import rho_planes
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rho_planes"
+# names the package is bound to: its own name, and `rp`, as perfbench passes it
+PACKAGE_NAMES = {"rho_planes", "rp"}
+
+
+def _chain_root(node: ast.Attribute):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _loaded_names(tree) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def _referenced_names(path: Path) -> set[str]:
-    """Names a file uses as a Name, an Attribute or an import; docstrings do not count."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rsplit(".", 1)[-1])
-    return names
+    """Names a file uses: loaded Names, and attributes on a chain that starts at
+    the package.  An import alone, a same-named attribute of another module and
+    a docstring do not count."""
+    tree = ast.parse(path.read_text(), str(path))
+    return _loaded_names(tree) | {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and _chain_root(node) in PACKAGE_NAMES}
 
 
 def test_every_public_function_has_a_caller():
@@ -44,3 +54,20 @@ def test_every_public_function_has_a_caller():
         if name not in users:
             uncalled.append(name)
     assert uncalled == []
+
+
+def test_no_unused_imports():
+    """Every name a library module (not `__init__.py`) or a test file imports is used."""
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += (ROOT / "tests").glob("*.py")
+    unused = []
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(), str(path))
+        used = _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {bound}")
+    assert unused == []

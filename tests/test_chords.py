@@ -5,83 +5,57 @@ import math
 import numpy as np
 import pytest
 
-from rho_planes import (DegenerateChordError, DomainError, NormSpec, NumericalError,
-                        UnitPoint, chord_frame, chord_min, frame_grid,
+from rho_planes import (DomainError, NormSpec, NumericalError, chord_frame,
                         midpoint_check, natural_param, star_map, wedge)
 
 from rho_planes.chords import _poly_tangent_exit, _poly_tangent_exit_many, star_map_many
-from rho_planes.norms import _line_min, unit_points
+from rho_planes.norms import _line_min, _xy, unit_points
 
 from conftest import (EUCLID, IPS_SPECS, LP4, LP15, QUAD14, QUAD213, SQUARE,
-                      bisection_star_map, euclid_star_angle, golden_min,
-                      grid_chord_min, max_poly_tangent_exit, quad_star_oracle, spec_ids)
+                      bisection_star_map, golden_min, grid_chord_min,
+                      max_poly_tangent_exit, quad_star_oracle, spec_ids)
 
 TWO_PI = 2.0 * math.pi
 
 
+def _chord_min(spec, u, v):
+    """The minimum gauge value on the chord [u, v], by `norms._line_min`."""
+    ux, uy = _xy(u)
+    vx, vy = _xy(v)
+    return _line_min(spec, ux, uy, vx - ux, vy - uy)
+
+
 def test_chord_min_euclid_quarter():
-    rep = chord_min(EUCLID, (1, 0), (0, 1))
-    assert rep.min_value == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
-    assert rep.argmin_lo == pytest.approx(0.5, abs=1e-9)
-    assert rep.argmin_hi == pytest.approx(0.5, abs=1e-9)
-    assert rep.midpoint_norm == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+    assert _chord_min(EUCLID, (1, 0), (0, 1)) == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
 
 def test_chord_min_square_kink():
     # piecewise-linear minimization of max(|1-2t|, 1-t)
-    rep = chord_min(SQUARE, (1, 1), (-1, 0))
-    assert rep.min_value == pytest.approx(1 / 3, abs=1e-12)
-    assert rep.argmin_lo == pytest.approx(2 / 3, abs=1e-12)
-    assert rep.argmin_hi == pytest.approx(2 / 3, abs=1e-12)
-    assert rep.midpoint_norm == pytest.approx(0.5, abs=1e-12)
+    value = _chord_min(SQUARE, (1, 1), (-1, 0))
+    assert value == pytest.approx(1 / 3, abs=1e-12)
     # the dense-grid oracle resolves a kink only to half its spacing
-    oracle_min, oracle_t = grid_chord_min(SQUARE, (1, 1), (-1, 0))
-    assert rep.min_value == pytest.approx(oracle_min, abs=1e-5)
-    assert rep.argmin_lo == pytest.approx(oracle_t, abs=1e-4)
+    oracle_min, _ = grid_chord_min(SQUARE, (1, 1), (-1, 0))
+    assert value == pytest.approx(oracle_min, abs=1e-5)
 
 
 def test_chord_min_antipodal_through_origin():
-    rep = chord_min(EUCLID, (1, 0), (-1, 0))
-    assert rep.min_value == 0.0
-    assert rep.argmin_lo == pytest.approx(0.5, abs=1e-12)
+    assert _chord_min(EUCLID, (1, 0), (-1, 0)) == 0.0
 
 
 def test_chord_min_flat_edge():
     # both endpoints on the same facet: the whole chord sits on the circle
-    rep = chord_min(SQUARE, (1, 1), (1, -1))
-    assert rep.min_value == pytest.approx(1.0, abs=1e-12)
-    assert rep.argmin_lo == pytest.approx(0.0, abs=1e-9)
-    assert rep.argmin_hi == pytest.approx(1.0, abs=1e-9)
-
-
-def test_chord_min_degenerate_rejected():
-    with pytest.raises(DegenerateChordError):
-        chord_min(EUCLID, (1, 0), (1, 0))
+    assert _chord_min(SQUARE, (1, 1), (1, -1)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chord_min_on_a_small_unit_circle():
     # unit radius 1e-100: distinct endpoints lie far closer than 1e-15
     spec = NormSpec.quadratic(1e200, 0, 1e200)
     u, v = natural_param(spec, 0.3), natural_param(spec, 1.7)
-    rep = chord_min(spec, u, v)
-    assert math.isfinite(rep.min_value)
-    assert rep.min_value == pytest.approx(math.cos(0.7), abs=1e-12)
-    assert rep.midpoint_norm == pytest.approx(math.cos(0.7), abs=1e-12)
-
-
-@pytest.mark.parametrize("spec", IPS_SPECS, ids=spec_ids(IPS_SPECS))
-def test_chord_argmin_collapses_on_strictly_convex(spec, rng):
-    for _ in range(25):
-        a, b = rng.uniform(0.0, TWO_PI, 2)
-        if abs(a - b) < 1e-3:
-            continue
-        u = natural_param(spec, a)
-        v = natural_param(spec, b)
-        rep = chord_min(spec, u, v)
-        assert rep.argmin_hi - rep.argmin_lo <= 1e-9
-        for t in (rep.argmin_lo, rep.argmin_hi):
-            w = ((1 - t) * u.x + t * v.x, (1 - t) * u.y + t * v.y)
-            assert spec.value(*w) == pytest.approx(rep.min_value, abs=1e-10)
+    value = _chord_min(spec, u, v)
+    assert math.isfinite(value)
+    assert value == pytest.approx(math.cos(0.7), abs=1e-12)
+    midpoint = spec.value(0.5 * (u.x + v.x), 0.5 * (u.y + v.y))
+    assert midpoint == pytest.approx(math.cos(0.7), abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", [EUCLID, QUAD14, LP4, SQUARE, LP15, QUAD213, NormSpec.lp(1)],
@@ -94,10 +68,10 @@ def test_chord_min_matches_grid_oracle(spec, rng):
         v = natural_param(spec, b)
         if math.hypot(u.x - v.x, u.y - v.y) < 1e-6:
             continue
-        rep = chord_min(spec, u, v)
+        value = _chord_min(spec, u, v)
         oracle, _ = grid_chord_min(spec, u.coords, v.coords)
-        assert rep.min_value <= oracle + 1e-12
-        assert rep.min_value == pytest.approx(oracle, abs=1e-5)
+        assert value <= oracle + 1e-12
+        assert value == pytest.approx(oracle, abs=1e-5)
 
 
 def test_star_map_euclid_examples():
@@ -136,8 +110,7 @@ def test_star_chord_supports_rho(spec, rng):
             u = natural_param(spec, theta)
             st = star_map(spec, u, rho)
             assert wedge(u, st) > 0.0
-            rep = chord_min(spec, u, st)
-            assert rep.min_value == pytest.approx(rho, abs=1e-9)
+            assert _chord_min(spec, u, st) == pytest.approx(rho, abs=1e-9)
 
 
 def test_star_map_quad_matches_substitution_oracle(rng):
@@ -260,9 +233,10 @@ def test_midpoint_check_matches_chord_min_midpoint(spec, rng):
         for theta in thetas:
             u = natural_param(spec, theta)
             got = midpoint_check(spec, u, rho)
-            want = chord_min(spec, u, star_map(spec, u, rho))
-            assert (got.u, got.v) == (want.u, want.v)
-            assert got.midpoint_norm == want.midpoint_norm, (theta, rho)
+            v = star_map(spec, u, rho)
+            assert (got.u, got.v) == (u, v)
+            want = spec.value(0.5 * (u.x + v.x), 0.5 * (u.y + v.y))
+            assert got.midpoint_norm == want, (theta, rho)
 
 
 def _random_segments(spec, rng, count):
@@ -286,21 +260,18 @@ def test_line_min_matches_golden_section_oracle(spec, rng):
     for ux, uy, dx, dy in _random_segments(spec, rng, 20):
         if math.hypot(dx, dy) < 1e-6:
             continue
-        value, lo, hi = _line_min(spec, ux, uy, dx, dy)
+        value = _line_min(spec, ux, uy, dx, dy)
         _, want = golden_min(lambda t: spec.value(ux + t * dx, uy + t * dy), 0.0, 1.0)
-        assert lo == hi
         assert abs(value - want) <= 1e-14, (ux, uy, dx, dy)
 
 
 @pytest.mark.parametrize("spec", [s for s, _ in POLY_ORACLE], ids=[i for _, i in POLY_ORACLE])
 def test_line_min_matches_grid_oracle_on_polygons(spec, rng):
     for ux, uy, dx, dy in _random_segments(spec, rng, 10):
-        value, lo, hi = _line_min(spec, ux, uy, dx, dy)
+        value = _line_min(spec, ux, uy, dx, dy)
         want, _ = grid_chord_min(spec, (ux, uy), (ux + dx, uy + dy))
         assert value <= want + 1e-12
         assert value == pytest.approx(want, abs=1e-5)
-        for t in (lo, hi):
-            assert spec.value(ux + t * dx, uy + t * dy) == pytest.approx(value, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", [EUCLID, QUAD14, LP4, SQUARE],
@@ -390,14 +361,3 @@ def test_star_parametrization_is_differentiable(spec):
         residual = abs(fx * ty - fy * tx) / math.hypot(tx, ty)
         assert residual <= 1e-5 * max(1.0, math.hypot(fx, fy))
 
-
-def test_frame_grid_matches_scalar_frames():
-    thetas = np.linspace(0.0, TWO_PI, 33)
-    for spec in (EUCLID, QUAD14, LP4):
-        sx, sy, tx, ty, mu = frame_grid(spec, thetas, 0.5)
-        for i in (0, 7, 19, 32):
-            f = chord_frame(spec, float(thetas[i]), 0.5)
-            assert f.base.x == pytest.approx(float(sx[i]), abs=1e-12)
-            assert f.perp.x == pytest.approx(float(tx[i]), abs=1e-10)
-            assert f.perp.y == pytest.approx(float(ty[i]), abs=1e-10)
-            assert f.mu == pytest.approx(float(mu[i]), abs=1e-10)

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import pytest
 
@@ -50,6 +49,21 @@ def test_check_square_failure_is_expected_exit_zero(capsys):
                         "--rho", "0.5", "--samples", "32"], capsys)
     assert code == 0  # only inner-product families gate the exit status
     assert json.loads(out)["report"]["pass"] is False
+
+
+@pytest.mark.parametrize("argv, want_code, failed", [
+    # --tol 0 fails euclid on rounding alone: its max_dev here is 5.55e-16
+    (["check", "--spec", "euclid", "--rho", "0.5", "--tol", "0"], 1, ["euclid"]),
+    (["sweep", "--spec", "lp:4", "--spec", "euclid", "--rhos", "0.5", "--tol", "0"],
+     1, ["lp:4", "euclid"]),
+    (["sweep", "--spec", "euclid", "--spec", "lp:4", "--rhos", "0.3,0.5"], 0, ["lp:4"]),
+], ids=["check-euclid", "sweep-euclid", "sweep-only-lp4"])
+def test_exit_1_exactly_when_an_inner_product_family_fails(argv, want_code, failed, capsys):
+    code, out, _ = run(argv + ["--samples", "32"], capsys)
+    assert code == want_code
+    doc = json.loads(out)
+    reports = doc["reports"] if "reports" in doc else [doc["report"]]
+    assert sorted({r["spec"] for r in reports if not r["pass"]}) == sorted(failed)
 
 
 def test_check_kn_resolution(capsys):

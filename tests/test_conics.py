@@ -9,7 +9,7 @@ from rho_planes import (GeometryError, UnitPoint, build_polygon, conic_eval,
                         fit_rho_ellipse, is_birkhoff_orthogonal, natural_param,
                         rho_from_kn, star_map, tangency_dstar, tangency_star)
 
-from conftest import EUCLID, IPS_SPECS, LP4, QUAD14, SQUARE, grid_min_along, spec_ids
+from conftest import EUCLID, IPS_SPECS, LP4, QUAD14, grid_min_along, spec_ids
 
 TWO_PI = 2.0 * math.pi
 

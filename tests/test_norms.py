@@ -10,9 +10,8 @@ from rho_planes import (ConfigurationError, DomainError, NormSpec,
                         UnsupportedSpecError, birkhoff_successor,
                         is_birkhoff_orthogonal, natural_param, wedge)
 
-from conftest import (ALL_SPECS, DIAMOND, EUCLID, IPS_SPECS, LP4, QUAD14,
-                      SMOOTH_SPECS, SQUARE, bisection_successor, grid_min_along,
-                      spec_ids)
+from conftest import (ALL_SPECS, DIAMOND, EUCLID, LP4, QUAD14, SMOOTH_SPECS,
+                      SQUARE, bisection_successor, grid_min_along, spec_ids)
 
 TWO_PI = 2.0 * math.pi
 

@@ -2,14 +2,13 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from rho_planes import (DomainError, build_polygon, natural_param,
                         polygon_to_dict, rho_from_kn, wedge)
 from rho_planes.polygons import DEFAULT_CLOSE_TOL, MAX_STEPS, _cluster
 
-from conftest import EUCLID, IPS_SPECS, QUAD14, SQUARE, single_linkage_clusters, spec_ids
+from conftest import EUCLID, IPS_SPECS, SQUARE, single_linkage_clusters, spec_ids
 from test_chords import ORACLE_IDS, ORACLE_SPECS
 
 TWO_PI = 2.0 * math.pi

@@ -68,7 +68,7 @@ def test_array_root_takes_the_scalar_steps(g):
     # each element must give the scalar root bit for bit after as many calls
     many, many_counts = _array_roots(g, _CS, None)
     assert (many, many_counts) == _scalar_roots(g, _CS, [None] * _CS.size)
-    if g is not _cubic:  # a step inside the bracket is found to within xtol
+    if g is not _cubic:  # a step inside the bracket is found to within XTOL
         inside = np.abs(_CS) < 3.0
         assert np.all(np.abs(np.array(many) - _CS)[inside] <= 1e-14)
 
