@@ -54,17 +54,30 @@ def _check_rho(rho: float):
         raise DomainError(f"rho must lie strictly between 0 and 1, got {rho}")
 
 
+_ROUND = NormSpec.euclidean()
+
+
 def star_map(spec: NormSpec, u, rho: float) -> UnitPoint:
     """The next unit point whose chord from u supports rho*S.
 
     The chord [u, u*] supports rho*S exactly when its line is tangent to
     rho*S, so u* is where the counterclockwise tangent line from u to rho*S
-    meets S again.  The tangent point p is found from the dual pairing
-    <grad N(p), u> = rho, or as a vertex of rho*P for polygonal gauges;
-    u* = u + t*(p - u) with t > 1 the exit parameter of that line.
+    meets S again; u* = u + t*(p - u) with p the tangent point and t > 1
+    the exit parameter of that line.  A quadratic gauge is mapped to its
+    round frame, where the map is the Euclidean one, and back.
     """
     _check_rho(rho)
     up = as_unit_point(spec, u)
+    if spec.round_frame is None:
+        return _star(spec, up, rho)
+    to_round, from_round = spec.round_frame
+    x, y = to_round(*up.coords)
+    z = _star(_ROUND, natural_param(_ROUND, math.atan2(y, x)), rho)
+    x, y = from_round(*z.coords)
+    return natural_param(spec, math.atan2(y, x))
+
+
+def _star(spec, up, rho) -> UnitPoint:
     ux, uy = up.coords
     if spec.normals is not None:
         px, py, t = _poly_tangent_exit(spec, up, rho)
@@ -89,17 +102,44 @@ def _gap_error(theta, gap, rho):
             f"never dip below rho={rho}")
 
 
-def star_map_many(spec: NormSpec, thetas, rho: float):
+def star_map_many(spec: NormSpec, thetas, rho):
     """`star_map` of the unit points s(thetas), thetas in [0, 2pi), solved as arrays.
 
     Returns (ux, uy, vx, vy, errors): the seeds u = s(theta), their images
     v = u*, and {index: message} for the seeds on which `star_map` raises
-    NumericalError, with its message; their v is not meaningful.  Each seed
-    takes the steps `star_map` takes on it, with numpy's elementwise
-    functions in place of `math`'s.
+    NumericalError, with its message; their v is not meaningful.  rho is
+    one value or one per seed.  Each seed takes the steps `star_map` takes
+    on it, with numpy's elementwise functions in place of `math`'s, and
+    the same steps whatever the other seeds are.
     """
-    _check_rho(rho)
+    frame, psis = round_frame(spec, thetas)
+    wx, wy, zx, zy, errors = _star_many(frame, psis, rho)
+    if frame is spec:
+        return wx, wy, zx, zy, errors
+    ux, uy = unit_points(spec, np.asarray(thetas, dtype=float))
+    x, y = spec.round_frame[1](zx, zy)
+    vx, vy = unit_points(spec, np.mod(np.arctan2(y, x), TWO_PI))
+    return ux, uy, vx, vy, errors
+
+
+def round_frame(spec: NormSpec, thetas):
+    """(frame gauge, angles): the spec's round frame and the seed angles s(thetas) take there.
+
+    A quadratic gauge's frame is the Euclidean plane, where its midpoint
+    deviations are measured; any other spec is its own frame.
+    """
     thetas = np.asarray(thetas, dtype=float)
+    if spec.round_frame is None:
+        return spec, thetas
+    x, y = spec.round_frame[0](np.cos(thetas), np.sin(thetas))
+    return _ROUND, np.mod(np.arctan2(y, x), TWO_PI)
+
+
+def _star_many(spec, thetas, rho):
+    rho = np.broadcast_to(np.asarray(rho, dtype=float), thetas.shape)
+    bad = np.flatnonzero(~((0.0 < rho) & (rho < 1.0)))
+    if bad.size:
+        _check_rho(float(rho[bad[0]]))
     ux, uy = unit_points(spec, thetas)
     if spec.normals is not None:
         px, py, t = _poly_tangent_exit_many(spec, thetas, ux, uy, rho)
@@ -108,40 +148,53 @@ def star_map_many(spec: NormSpec, thetas, rho: float):
     with np.errstate(invalid="ignore"):  # t = inf on a null step: a NaN gap, failed below
         sx, sy = ux + t * (px - ux), uy + t * (py - uy)
     gap = np.mod(np.arctan2(sy, sx) - thetas, TWO_PI)
-    errors = {int(i): _gap_error(float(thetas[i]), gap[i], rho)
+    errors = {int(i): _gap_error(float(thetas[i]), gap[i], float(rho[i]))
               for i in np.flatnonzero(_failed_gap(gap))}
     vx, vy = unit_points(spec, np.mod(thetas + gap, TWO_PI))
     return ux, uy, vx, vy, errors
 
 
 def _smooth_tangent_exit(spec, up, rho):
-    """Tangent point p = rho*s(phi) and exit parameter t for a smooth gauge.
+    """Tangent point p and exit parameter t for a smooth gauge.
 
-    The gradient is 0-homogeneous and <grad N(s), s> = 1, so the pairing
-    <grad N(s(phi)), u> falls from 1 to -1 over the half-turn after u; the
-    tangent point is where it equals rho.  N(u + t*(p - u)) - 1 is convex
-    in t, negative at t = 1 and nonnegative at t = 2/N(p - u).  Both roots
-    first try the inner-product answer, which the midpoint-support property
-    makes exact there: the tangent point at angle theta + arccos(rho) of
-    the round circle, and the exit at t = 2.
+    The tangent line from u to rho*S has some normal n(psi) = (cos psi,
+    sin psi): it is {x : <n, x> = rho*N*(n)}, with N* the dual gauge, and
+    touches rho*S at p = rho*grad N*(n).  It passes through u where the
+    pairing rho - <n(psi), u>/N*(n(psi)) vanishes; over the half-turn after
+    the normal angle psi_u of u it rises from rho - 1 to rho + 1.  N(u +
+    t*(p - u)) - 1 is convex in t, negative at t = 1 and nonnegative at
+    t = 2/N(p - u).  Both roots first try the inner-product answer, exact
+    on the round circle: t = 2, and the normal of m = rho*g +
+    sqrt(1 - rho^2)*Ju/N*(Ju), with g = grad N(u) and Ju = u turned a
+    quarter turn, which has <m, u> = rho and is N*-unit when N* is
+    Euclidean in the frame (g, Ju).  On the round circle psi_u is theta
+    and the guess theta + arccos(rho), with no rounding.
     """
     ux, uy = up.coords
-    grad, value = spec.grad, spec.value
+    dual, value = spec.dual, spec.value
+    dual_value = dual.value
 
-    def pairing(phi):
-        gx, gy = grad(math.cos(phi), math.sin(phi))
-        return rho - (gx * ux + gy * uy)
+    def pairing(psi):
+        nx, ny = math.cos(psi), math.sin(psi)
+        return rho - (nx * ux + ny * uy) / dual_value(nx, ny)
 
-    phi = illinois_root(pairing, up.theta, up.theta + math.pi, rho - 1.0, rho + 1.0,
-                        guess=up.theta + math.acos(rho))
-    px, py = natural_param(spec, phi).coords
+    if dual is spec:
+        psi_u, guess = up.theta, up.theta + math.acos(rho)
+    else:
+        gx, gy = spec.grad(ux, uy)
+        psi_u = math.atan2(gy, gx)
+        c = math.sqrt(1.0 - rho * rho) / dual_value(-uy, ux)
+        guess = psi_u + (math.atan2(rho * gy + c * ux, rho * gx - c * uy) - psi_u) % TWO_PI
+    psi = illinois_root(pairing, psi_u, psi_u + math.pi, rho - 1.0, rho + 1.0, guess=guess)
+    px, py = dual.grad(math.cos(psi), math.sin(psi))
     px, py = rho * px, rho * py
     dx, dy = px - ux, py - uy
 
     def exit_gap(t):
         return value(ux + t * dx, uy + t * dy) - 1.0
 
-    hi = max(1.0, 2.0 / value(dx, dy))
+    span = value(dx, dy)  # 0 when p rounds onto u: a null step, failed by the gap
+    hi = max(1.0, 2.0 / span) if span > 0.0 else math.inf
     return px, py, illinois_root(exit_gap, 1.0, hi, rho - 1.0, exit_gap(hi), guess=2.0)
 
 
@@ -181,24 +234,32 @@ def _poly_tangent_exit(spec, up, rho):
 
 def _smooth_tangent_exit_many(spec, thetas, ux, uy, rho):
     """`_smooth_tangent_exit` on arrays of seeds: both roots by `illinois_root_many`."""
-    grad_many, value_many = spec.grad_many, spec.value_many
+    dual, value_many = spec.dual, spec.value_many
+    dual_value_many = dual.value_many
 
-    def pairing(phi, i):
-        gx, gy = grad_many(np.cos(phi), np.sin(phi))
-        return rho - (gx * ux[i] + gy * uy[i])
+    def pairing(psi, i):
+        nx, ny = np.cos(psi), np.sin(psi)
+        return rho[i] - (nx * ux[i] + ny * uy[i]) / dual_value_many(nx, ny)
 
-    phi = illinois_root_many(pairing, thetas, thetas + math.pi, rho - 1.0, rho + 1.0,
-                             guess=thetas + math.acos(rho))
-    px, py = unit_points(spec, np.mod(phi, TWO_PI))
+    if dual is spec:
+        psi_u, guess = thetas, thetas + np.arccos(rho)
+    else:
+        gx, gy = spec.grad_many(ux, uy)
+        psi_u = np.arctan2(gy, gx)
+        c = np.sqrt(1.0 - rho * rho) / dual_value_many(-uy, ux)
+        guess = psi_u + np.mod(np.arctan2(rho * gy + c * ux, rho * gx - c * uy) - psi_u, TWO_PI)
+    psi = illinois_root_many(pairing, psi_u, psi_u + math.pi, rho - 1.0, rho + 1.0, guess=guess)
+    px, py = dual.grad_many(np.cos(psi), np.sin(psi))
     px, py = rho * px, rho * py
     dx, dy = px - ux, py - uy
 
     def exit_gap(t, i):
         return value_many(ux[i] + t * dx[i], uy[i] + t * dy[i]) - 1.0
 
-    hi = np.maximum(1.0, 2.0 / value_many(dx, dy))
-    t = illinois_root_many(exit_gap, 1.0, hi, rho - 1.0, exit_gap(hi, slice(None)),
-                           guess=2.0)
+    with np.errstate(all="ignore"):  # p rounded onto u: an inf bracket and a null step
+        hi = np.maximum(1.0, 2.0 / value_many(dx, dy))
+        t = illinois_root_many(exit_gap, 1.0, hi, rho - 1.0, exit_gap(hi, slice(None)),
+                               guess=2.0)
     return px, py, t
 
 

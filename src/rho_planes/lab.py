@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NonClosingError, NumericalError
 from .norms import TWO_PI, NormSpec, UnitPoint, natural_param, wedge
-from .chords import chord_frame, star_map_many
+from .chords import chord_frame, round_frame, star_map_many
 from .polygons import STATUS_CLOSED, RhoPolygon, build_polygon, rho_from_kn
 from .areas import DEFAULT_SAMPLES, sector_area, total_ball_area
 
@@ -116,26 +116,50 @@ def check_midpoint_property(spec: NormSpec, rho: float,
 
     Seeds form a uniform angle grid plus the eight axis/diagonal angles, so
     corner-adjacent chords of polygonal gauges are never missed; all of
-    them are solved at once by `star_map_many`.  Solver failures are
-    recorded per-seed in the notes instead of aborting; when every seed
-    fails, NumericalError is raised rather than a vacuous report.  The
-    worst seed is the first maximum in theta order.
+    them are solved at once by `star_map_many`, in the spec's round frame,
+    where the deviation is measured.  Solver failures are recorded per-seed
+    in the notes instead of aborting; when every seed fails, NumericalError
+    is raised rather than a vacuous report.  The worst seed is the first
+    maximum in theta order.
+    """
+    return _check_cells(spec, [rho], samples, tol)[0]
+
+
+def _check_cells(spec, rhos, samples, tol) -> list[PropertyReport]:
+    """`check_midpoint_property` of spec at each rho, in as few `star_map_many` as memory allows.
+
+    Each seed takes the steps it takes alone, so each report is the one
+    its cell gives alone; the first cell whose every seed fails raises.
+    Cells are batched up to MAX_CHECK_SAMPLES seeds per star map, so a
+    sweep's memory stays that of its largest check.
     """
     if not 8 <= samples <= MAX_CHECK_SAMPLES:
         raise DomainError(f"samples must lie in [8, {MAX_CHECK_SAMPLES}], got {samples}")
     thetas = np.sort(np.concatenate((TWO_PI * np.arange(samples) / samples, _AXIS_ANGLES)))
     thetas = thetas[np.append(True, thetas[1:] != thetas[:-1])]  # np.unique imports numpy.ma
-    ux, uy, vx, vy, errors = star_map_many(spec, thetas, rho)
-    failures = [f"theta={thetas[i]:.6f}: {message}" for i, message in errors.items()]
-    dev = np.fmax(np.abs(spec.value_many(0.5 * (ux + vx), 0.5 * (uy + vy)) - rho), -1.0)
-    dev[list(errors)] = -1.0  # a failed seed, like a NaN deviation, is never the worst
-    i = int(np.argmax(dev))  # the first maximum in theta order
-    worst = float(dev[i])
-    if worst < 0.0:  # every seed failed: never report a vacuous pass
-        first = failures[0] if failures else "no finite deviation"
-        raise NumericalError(f"{len(failures)} of {len(thetas)} seeds failed; first {first}")
-    return PropertyReport(spec.spec_id, rho, len(thetas), worst, float(thetas[i]),
-                          worst <= tol, tol, "; ".join(failures))
+    n = len(thetas)
+    frame, psis = round_frame(spec, thetas)
+    per_map = max(1, MAX_CHECK_SAMPLES // n)  # no star map holds more seeds than one check may
+    reports = []
+    for k in range(0, len(rhos), per_map):
+        batch = rhos[k:k + per_map]
+        ux, uy, vx, vy, errors = star_map_many(frame, np.tile(psis, len(batch)),
+                                               np.repeat(np.asarray(batch, dtype=float), n))
+        mids = frame.value_many(0.5 * (ux + vx), 0.5 * (uy + vy))
+        for j, rho in enumerate(batch):
+            cell = range(j * n, (j + 1) * n)
+            failed = [i - cell.start for i in errors if i in cell]
+            failures = [f"theta={thetas[i]:.6f}: {errors[cell.start + i]}" for i in failed]
+            dev = np.fmax(np.abs(mids[cell.start:cell.stop] - rho), -1.0)
+            dev[failed] = -1.0  # a failed seed, like a NaN deviation, is never the worst
+            i = int(np.argmax(dev))  # the first maximum in theta order
+            worst = float(dev[i])
+            if worst < 0.0:  # every seed failed: never report a vacuous pass
+                first = failures[0] if failures else "no finite deviation"
+                raise NumericalError(f"{len(failures)} of {n} seeds failed; first {first}")
+            reports.append(PropertyReport(spec.spec_id, rho, n, worst, float(thetas[i]),
+                                          worst <= tol, tol, "; ".join(failures)))
+    return reports
 
 
 def _closed_or_raise(spec, seed, rho, what) -> RhoPolygon:
@@ -293,7 +317,7 @@ def sweep(specs: list[NormSpec], rhos: list[float],
     """Midpoint-property reports for every (spec, rho) cell, spec-major; errors are raised."""
     if not specs or not rhos:
         raise DomainError("sweep needs at least one spec and one rho")
-    return [check_midpoint_property(spec, rho, samples, tol) for spec in specs for rho in rhos]
+    return [report for spec in specs for report in _check_cells(spec, rhos, samples, tol)]
 
 
 def sweep_to_csv(reports: list[PropertyReport], comment: str | None = None) -> str:

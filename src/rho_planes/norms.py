@@ -21,7 +21,9 @@ TWO_PI = 2.0 * math.pi
 UNIT_TOL = 1e-10
 ORTHO_TOL = 1e-9
 # Beyond an axis ratio of 1e6 most of a quadratic unit circle lies within a
-# few ulps of the long axis's angle, and the checker's verdicts go wrong.
+# few ulps of the long axis's angle, so angles in the form's own coordinates
+# (seeds, orbit vertices) no longer resolve it; the checker, which measures
+# in the round frame, is not what the bound protects.
 MAX_QUAD_EIGEN_RATIO = 1e12
 
 
@@ -63,14 +65,16 @@ class NormSpec:
     A spec is its gauge `value` (scalar, and `value_many` on numpy arrays)
     plus either its gradient, for the smooth and strictly convex families,
     or the facet normals of its polygonal unit ball; the one-sided slopes
-    and corner angles are derived from these here.  Construct through the
+    and corner angles are derived from these here.  For the star map, a
+    smooth `euclid` or `lp` spec also carries its dual gauge, and a `quad`
+    spec the linear frame that makes it round.  Construct through the
     factory classmethods or `parse`.  Instances are immutable and safe to
     share across threads; every operation in the library is a pure
     function of its arguments.
     """
 
     def __init__(self, kind, params, spec_id, value, value_many,
-                 grad=None, grad_many=None, normals=None):
+                 grad=None, grad_many=None, normals=None, dual=None, round_frame=None):
         self.kind = kind
         self.params = params
         self.spec_id = spec_id
@@ -79,6 +83,10 @@ class NormSpec:
         self.grad = grad              # (x, y) -> gradient tuple, smooth only
         self.grad_many = grad_many    # the gradient on numpy arrays, smooth only
         self.normals = normals        # facet normals n_i with N = max_i <n_i, .>, polygonal only
+        self.dual = dual              # the dual gauge N*(n) = max_{N(x)<=1} <n, x>, smooth euclid/lp
+        # (to_round, from_round): linear maps, on floats or arrays, taking the unit
+        # circle to a round circle and back, up to positive factors; quad only
+        self.round_frame = round_frame
         self.smooth = grad is not None
         # right/left derivative of t -> N(w + t*d) at t=0, smooth only
         self.dplus = _slope(value, grad, 1.0) if self.smooth else None
@@ -115,7 +123,9 @@ class NormSpec:
             n = np.hypot(x, y)
             return x / n, y / n
 
-        return cls("euclid", {}, "euclid", math.hypot, np.hypot, grad, grad_many)
+        spec = cls("euclid", {}, "euclid", math.hypot, np.hypot, grad, grad_many)
+        spec.dual = spec
+        return spec
 
     @classmethod
     def quadratic(cls, a: float, b: float, c: float) -> "NormSpec":
@@ -139,6 +149,18 @@ class NormSpec:
                 f"quadratic form {a}x^2+{b}xy+{c}y^2 has eigenvalue ratio {ratio:.6g}, "
                 f"above {MAX_QUAD_EIGEN_RATIO:g}: its axes differ by more than a factor "
                 "1e6, too thin a unit circle to resolve through angles")
+
+        # Q^(1/2) of the scaled form Q, in closed form: (Q + d*I)/sqrt(tr Q + 2d) with
+        # d = sqrt(det Q), and its inverse adj(Q + d*I)/(d*sqrt(tr Q + 2d)); the
+        # positive factors change no angle, so they are left out
+        d = 0.5 * math.sqrt(det4)
+        ra, rb, rc = a / s + d, 0.5 * b / s, c / s + d
+
+        def to_round(x, y):
+            return ra * x + rb * y, rb * x + rc * y
+
+        def from_round(x, y):
+            return rc * x - rb * y, ra * y - rb * x
 
         def value(x, y):
             ax, ay = abs(x), abs(y)
@@ -164,7 +186,7 @@ class NormSpec:
 
         spec_id = f"quad:{_fmt_num(a)},{_fmt_num(b)},{_fmt_num(c)}"
         return cls("quad", {"a": a, "b": b, "c": c}, spec_id, value, value_many,
-                   grad, grad_many)
+                   grad, grad_many, round_frame=(to_round, from_round))
 
     @classmethod
     def lp(cls, p: float) -> "NormSpec":
@@ -176,31 +198,11 @@ class NormSpec:
             # the diamond is a polygonal gauge: max of four facet functionals
             return cls("lp", {"p": p}, spec_id, *_facet_gauge(_DIAMOND_NORMALS),
                        normals=_DIAMOND_NORMALS)
-        q = p - 1.0
-
-        def value(x, y):
-            ax, ay = abs(x), abs(y)
-            m = ax if ax > ay else ay
-            if m == 0.0:
-                return 0.0
-            return m * ((ax / m) ** p + (ay / m) ** p) ** (1.0 / p)
-
-        # sign(x)*(|x|/N)^(p-1): each ratio is at most 1, so no power overflows
-        def grad(x, y):
-            n = value(x, y)
-            return math.copysign((abs(x) / n) ** q, x), math.copysign((abs(y) / n) ** q, y)
-
-        def value_many(x, y):
-            ax, ay = np.abs(x), np.abs(y)
-            m = np.maximum(ax, ay)
-            m = np.where(m == 0.0, 1.0, m)
-            return m * ((ax / m) ** p + (ay / m) ** p) ** (1.0 / p)
-
-        def grad_many(x, y):
-            n = value_many(x, y)
-            return np.sign(x) * (np.abs(x) / n) ** q, np.sign(y) * (np.abs(y) / n) ** q
-
-        return cls("lp", {"p": p}, spec_id, value, value_many, grad, grad_many)
+        # the dual of lp:p is lp:q, q = p/(p - 1); its gradient exponent q - 1 is
+        # 1/(p - 1) even where q rounds to 1, so the dual stays smooth
+        dual = cls("lp", {"p": p / (p - 1.0)}, f"lp:{_fmt_num(p / (p - 1.0))}",
+                   *_lp_gauge(p / (p - 1.0), 1.0 / (p - 1.0)))
+        return cls("lp", {"p": p}, spec_id, *_lp_gauge(p, p - 1.0), dual=dual)
 
     @classmethod
     def polygon(cls, vertices) -> "NormSpec":
@@ -245,6 +247,36 @@ class NormSpec:
 
 
 _DIAMOND_NORMALS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+
+
+def _lp_gauge(p, r):
+    """The lp gauge and its gradient sign(x)*(|x|/N)^r, r = p - 1, scalar and on arrays.
+
+    Returns (value, value_many, grad, grad_many).  Each ratio is at most 1,
+    so no power overflows.
+    """
+    def value(x, y):
+        ax, ay = abs(x), abs(y)
+        m = ax if ax > ay else ay
+        if m == 0.0:
+            return 0.0
+        return m * ((ax / m) ** p + (ay / m) ** p) ** (1.0 / p)
+
+    def grad(x, y):
+        n = value(x, y)
+        return math.copysign((abs(x) / n) ** r, x), math.copysign((abs(y) / n) ** r, y)
+
+    def value_many(x, y):
+        ax, ay = np.abs(x), np.abs(y)
+        m = np.maximum(ax, ay)
+        m = np.where(m == 0.0, 1.0, m)
+        return m * ((ax / m) ** p + (ay / m) ** p) ** (1.0 / p)
+
+    def grad_many(x, y):
+        n = value_many(x, y)
+        return np.sign(x) * (np.abs(x) / n) ** r, np.sign(y) * (np.abs(y) / n) ** r
+
+    return value, value_many, grad, grad_many
 
 
 def _slope(value, grad, sign):

@@ -540,8 +540,6 @@ def test_check_passes_on_inner_product_norms_next_to_rho_1(spec, rho, capsys):
     assert json.loads(out)["report"]["max_dev"] <= 1.7e-15
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="ROADMAP item 1: wrong verdict on a thin ellipse near rho = 1")
 @pytest.mark.parametrize("spec, rho", [
     ("quad:1,0,1e-12", 0.9999997), ("quad:1,3.813784741e-7,1.444e-12", 0.9999996826950028),
 ])
@@ -550,10 +548,17 @@ def test_check_passes_on_thin_ellipses_near_rho_1(spec, rho, capsys):
     assert code == 0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_check_passes_on_a_rotated_thin_ellipse_at_ordinary_rho(capsys):
     # eigenvalue ratio 4.6e8, inside the accepted 1e12 bound
     spec = "quad:5.009715384073066,-10.936170163574989,5.968393896914864"
     code, out, _ = run(["check", "--spec", spec, "--rho", "0.65"], capsys)
     assert code == 0
     assert json.loads(out)["report"]["max_dev"] <= 1e-8
+
+
+@pytest.mark.parametrize("p", ["1e16", "1e300", "1e308"])
+def test_check_on_an_lp_exponent_whose_dual_exponent_rounds_to_1(p, capsys):
+    # q = p/(p - 1) rounds to 1.0: the dual gauge must stay smooth, not become lp:1
+    code, out, _ = run(["check", "--spec", f"lp:{p}", "--rho", "0.6"], capsys)
+    assert code == 0
+    assert json.loads(out)["report"]["max_dev"] == pytest.approx(0.15, abs=1e-12)

@@ -1,0 +1,83 @@
+"""Seeded property tests of the CLI: verdicts on quadratic forms, and fuzzed numeric flags."""
+
+import contextlib
+import io
+import json
+import math
+
+from hypothesis import assume, given, settings, strategies as st
+
+from rho_planes import ConfigurationError, NormSpec
+from rho_planes.cli import main
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def run(argv):
+    """Exit code and the output lines of `main(argv)`, stdout and stderr together.
+
+    Redirects instead of taking `capsys`: a function-scoped fixture is not
+    reset between the examples of one hypothesis test.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, (out.getvalue() + err.getvalue()).splitlines()
+
+
+@st.composite
+def accepted_quad_forms(draw):
+    """A quad spec with a random axis angle, scale 1e-100..1e100 and eigenvalue ratio 1..1e12.
+
+    Rounding can carry a form just past the eigenvalue-ratio bound; only
+    forms that `NormSpec.parse` accepts are drawn.
+    """
+    alpha = draw(st.floats(0.0, math.pi))
+    scale = 10.0 ** draw(st.floats(-100.0, 100.0))
+    inverse_ratio = 10.0 ** -draw(st.floats(0.0, 12.0))
+    c, s = math.cos(alpha), math.sin(alpha)
+    a = scale * (c * c + s * s * inverse_ratio)
+    b = 2.0 * scale * c * s * (1.0 - inverse_ratio)
+    d = scale * (s * s + c * c * inverse_ratio)
+    text = f"quad:{a!r},{b!r},{d!r}"
+    try:
+        NormSpec.parse(text)
+    except ConfigurationError:
+        assume(False)
+    return text
+
+
+RHOS = st.one_of(
+    st.floats(0.01, 0.99),                                  # generic
+    st.floats(2.0, 15.0).map(lambda e: 1.0 - 10.0 ** -e),   # within 1e-15..1e-2 of 1
+    st.integers(1, 16).map(lambda k: 1.0 - k * 2.0 ** -53),  # the last 16 floats below 1
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=accepted_quad_forms(), rho=RHOS)
+def test_check_never_fails_an_accepted_quadratic_form(spec, rho):
+    """An inner-product norm has the midpoint-support property: exit 1 is a wrong verdict."""
+    code, lines = run(["check", "--spec", spec, "--rho", repr(rho)])
+    assert code != 1, lines
+
+
+NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e308", "1e400", "1e-300", "5e-324",
+                     "2.2e-308", "-0.0", "0.9999999999999999", "1e-15"]),
+).map(str)
+SAMPLES = st.one_of(st.sampled_from(["8", "9", "64", "256"]), NUMBERS)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(p=st.floats(1.0, 1e308), rho=NUMBERS, samples=SAMPLES)
+def test_check_on_any_lp_exponent_and_numeric_flags_is_typed_and_one_json_line(p, rho,
+                                                                              samples):
+    """Exit 0-3 (4 is a defect) and one line of strict JSON, for any lp exponent."""
+    code, lines = run(["check", "--spec", f"lp:{p!r}", "--rho", rho, "--samples", samples])
+    assert code in (0, 1, 2, 3), lines
+    assert len(lines) == 1, lines
+    json.loads(lines[0], parse_constant=_no_constant)

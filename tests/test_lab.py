@@ -232,6 +232,36 @@ def test_sweep_shape_and_order():
     assert not reports[3].passed  # lp:4 at rho = 1/2
 
 
+# rho = 5e-10 fails some seeds of these specs (their chords reach within the
+# antipodal guard of -u) and every seed of euclid and quad
+PARTLY_FAILING = [LP4, NormSpec.lp(1.5), NormSpec.lp(16), SQUARE]
+
+
+@pytest.mark.parametrize("specs, rhos, samples", [
+    (PARTLY_FAILING, [5e-10, 0.05, 0.5], 64),
+    (IPS_SPECS + [LP4, SQUARE], [0.05, 0.5, math.cos(math.pi / 5), 0.98, 1.0 - 2.0 ** -52], 256),
+    ([EUCLID, QUAD14], [0.3, 0.5], MAX_CHECK_SAMPLES),
+], ids=["failing-seeds", "generic", "one-cell-per-star-map"])
+def test_sweep_cells_equal_their_checks_field_for_field(specs, rhos, samples):
+    """A spec's rhos share one star map, and each cell still gets the report it gets alone."""
+    reports = sweep(specs, rhos, samples)
+    assert reports == [check_midpoint_property(spec, rho, samples)
+                       for spec in specs for rho in rhos]
+    assert all(r.notes for r in reports if r.rho == 5e-10)
+
+
+@pytest.mark.parametrize("specs, failing", [([LP4, EUCLID], (LP4, 1e-12)),
+                                            ([EUCLID, LP4], (EUCLID, 5e-10))],
+                         ids=["lp4-first", "euclid-first"])
+def test_sweep_raises_the_first_failing_cell_in_spec_major_order(specs, failing):
+    """Every seed of lp:4 fails at 1e-12, and every seed of euclid already at 5e-10."""
+    with pytest.raises(NumericalError) as alone:
+        check_midpoint_property(*failing, 16)
+    with pytest.raises(NumericalError) as swept:
+        sweep(specs, [5e-10, 1e-12], samples=16)
+    assert str(swept.value) == str(alone.value)
+
+
 def test_sweep_rejects_empty():
     with pytest.raises(RhoPlanesError):
         sweep([], [0.5])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rho_planes import (ConfigurationError, DomainError, NormSpec,
                         UnsupportedSpecError, birkhoff_successor,
-                        is_birkhoff_orthogonal, natural_param, wedge)
+                        is_birkhoff_orthogonal, natural_param, unit_points, wedge)
 
 from conftest import (ALL_SPECS, DIAMOND, EUCLID, LP4, QUAD14, SMOOTH_SPECS,
                       SQUARE, bisection_successor, grid_min_along, spec_ids)
@@ -133,6 +133,46 @@ def test_value_many_matches_value_at_extreme_scales(spec):
                 gx, gy = spec.grad_many(np.array([scale * x]), np.array([scale * y]))
                 want = spec.grad(scale * x, scale * y)
                 assert (float(gx[0]), float(gy[0])) == pytest.approx(want, rel=1e-12)
+
+
+DUAL_SPECS = [EUCLID, NormSpec.lp(1.1), NormSpec.lp(1.5), LP4, NormSpec.lp(16),
+              NormSpec.lp(1e300)]
+
+
+@pytest.mark.parametrize("spec", DUAL_SPECS, ids=spec_ids(DUAL_SPECS))
+def test_dual_gauge_is_the_support_function_of_the_unit_ball(spec, rng):
+    """N*(n) = max <n, x> over the unit circle, and grad N*(n) is the x that attains it."""
+    x, y = unit_points(spec, np.linspace(0.0, TWO_PI, 200001))
+    dual = spec.dual
+    assert dual.smooth and dual.normals is None  # lp:1e300 has q = 1.0, yet no facets
+    for a in rng.uniform(0.0, TWO_PI, 40):
+        nx, ny = math.cos(a), math.sin(a)
+        sampled = float(np.max(nx * x + ny * y))  # a lower bound: the grid misses corners
+        assert sampled * (1.0 - 1e-15) <= dual.value(nx, ny) <= sampled * (1.0 + 1e-6)
+        gx, gy = dual.grad(nx, ny)
+        assert spec.value(gx, gy) == pytest.approx(1.0, abs=1e-12)
+        assert nx * gx + ny * gy == pytest.approx(dual.value(nx, ny), rel=1e-12)
+
+
+@pytest.mark.parametrize("text", ["quad:1,0,4", "quad:2,1,3", "quad:1,0,1e-12",
+                                  "quad:5.009715384073066,-10.936170163574989,5.968393896914864",
+                                  "quad:4e307,1e307,1e307", "quad:1e-300,0,1e-300"])
+def test_round_frame_is_a_square_root_of_the_form_and_inverts(text, rng):
+    """to_round is a multiple of Q^(1/2): its square is a multiple of Q, entry by entry,
+    and from_round undoes it up to a positive factor."""
+    spec = NormSpec.parse(text)
+    to_round, from_round = spec.round_frame
+    (ra, rb), (_, rc) = to_round(1.0, 0.0), to_round(0.0, 1.0)
+    a, b, c = (spec.params[k] for k in "abc")
+    k = (ra * ra + rb * rb) / a
+    assert (rb * rb + rc * rc) / c == pytest.approx(k, rel=1e-14)
+    if b != 0.0:
+        assert 2.0 * rb * (ra + rc) / b == pytest.approx(k, rel=1e-14)
+    x, y = rng.normal(size=(2, 1000))
+    bx, by = from_round(*to_round(x, y))
+    assert np.all(bx * x + by * y > 0.0)
+    assert np.max(np.abs(bx * y - by * x) / np.hypot(bx, by) / np.hypot(x, y)) <= 1e-9
+    assert NormSpec.euclidean().round_frame is None and LP4.round_frame is None
 
 
 POLY14 = NormSpec.polygon([(1.3 * math.cos(a), math.sin(a))
