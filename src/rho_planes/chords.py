@@ -69,15 +69,16 @@ def star_map(spec: NormSpec, u, rho: float) -> UnitPoint:
     _check_rho(rho)
     up = as_unit_point(spec, u)
     if spec.round_frame is None:
-        return _star(spec, up, rho)
+        return _star(spec, up, rho, up.theta)
     to_round, from_round = spec.round_frame
     x, y = to_round(*up.coords)
-    z = _star(_ROUND, natural_param(_ROUND, math.atan2(y, x)), rho)
+    z = _star(_ROUND, natural_param(_ROUND, math.atan2(y, x)), rho, up.theta)
     x, y = from_round(*z.coords)
     return natural_param(spec, math.atan2(y, x))
 
 
-def _star(spec, up, rho) -> UnitPoint:
+def _star(spec, up, rho, theta) -> UnitPoint:
+    """`star_map` of up on spec; a failure names the seed by theta, the caller's angle."""
     ux, uy = up.coords
     if spec.normals is not None:
         px, py, t = _poly_tangent_exit(spec, up, rho)
@@ -86,7 +87,7 @@ def _star(spec, up, rho) -> UnitPoint:
     sx, sy = ux + t * (px - ux), uy + t * (py - uy)
     gap = (math.atan2(sy, sx) - up.theta) % TWO_PI
     if _failed_gap(gap):
-        raise NumericalError(_gap_error(up.theta, gap, rho))
+        raise NumericalError(_gap_error(theta, gap, rho))
     return natural_param(spec, up.theta + gap)
 
 
@@ -105,53 +106,37 @@ def _gap_error(theta, gap, rho):
 def star_map_many(spec: NormSpec, thetas, rho):
     """`star_map` of the unit points s(thetas), thetas in [0, 2pi), solved as arrays.
 
-    Returns (ux, uy, vx, vy, errors): the seeds u = s(theta), their images
-    v = u*, and {index: message} for the seeds on which `star_map` raises
+    The seeds are solved in the spec's round frame: the Euclidean plane for
+    a quadratic gauge, where its midpoint deviations are measured, and the
+    spec itself otherwise.  Returns (frame, ux, uy, vx, vy, errors): the
+    frame, the seeds u and their images v = u* in frame coordinates, and
+    {index: message} for the seeds on which `star_map` raises
     NumericalError, with its message; their v is not meaningful.  rho is
     one value or one per seed.  Each seed takes the steps `star_map` takes
     on it, with numpy's elementwise functions in place of `math`'s, and
     the same steps whatever the other seeds are.
     """
-    frame, psis = round_frame(spec, thetas)
-    wx, wy, zx, zy, errors = _star_many(frame, psis, rho)
-    if frame is spec:
-        return wx, wy, zx, zy, errors
-    ux, uy = unit_points(spec, np.asarray(thetas, dtype=float))
-    x, y = spec.round_frame[1](zx, zy)
-    vx, vy = unit_points(spec, np.mod(np.arctan2(y, x), TWO_PI))
-    return ux, uy, vx, vy, errors
-
-
-def round_frame(spec: NormSpec, thetas):
-    """(frame gauge, angles): the spec's round frame and the seed angles s(thetas) take there.
-
-    A quadratic gauge's frame is the Euclidean plane, where its midpoint
-    deviations are measured; any other spec is its own frame.
-    """
     thetas = np.asarray(thetas, dtype=float)
-    if spec.round_frame is None:
-        return spec, thetas
-    x, y = spec.round_frame[0](np.cos(thetas), np.sin(thetas))
-    return _ROUND, np.mod(np.arctan2(y, x), TWO_PI)
-
-
-def _star_many(spec, thetas, rho):
     rho = np.broadcast_to(np.asarray(rho, dtype=float), thetas.shape)
     bad = np.flatnonzero(~((0.0 < rho) & (rho < 1.0)))
     if bad.size:
         _check_rho(float(rho[bad[0]]))
-    ux, uy = unit_points(spec, thetas)
-    if spec.normals is not None:
-        px, py, t = _poly_tangent_exit_many(spec, thetas, ux, uy, rho)
+    frame, psis = spec, thetas
+    if spec.round_frame is not None:
+        x, y = spec.round_frame[0](np.cos(thetas), np.sin(thetas))
+        frame, psis = _ROUND, np.mod(np.arctan2(y, x), TWO_PI)
+    ux, uy = unit_points(frame, psis)
+    if frame.normals is not None:
+        px, py, t = _poly_tangent_exit_many(frame, psis, ux, uy, rho)
     else:
-        px, py, t = _smooth_tangent_exit_many(spec, thetas, ux, uy, rho)
+        px, py, t = _smooth_tangent_exit_many(frame, psis, ux, uy, rho)
     with np.errstate(invalid="ignore"):  # t = inf on a null step: a NaN gap, failed below
         sx, sy = ux + t * (px - ux), uy + t * (py - uy)
-    gap = np.mod(np.arctan2(sy, sx) - thetas, TWO_PI)
+    gap = np.mod(np.arctan2(sy, sx) - psis, TWO_PI)
     errors = {int(i): _gap_error(float(thetas[i]), gap[i], float(rho[i]))
               for i in np.flatnonzero(_failed_gap(gap))}
-    vx, vy = unit_points(spec, np.mod(thetas + gap, TWO_PI))
-    return ux, uy, vx, vy, errors
+    vx, vy = unit_points(frame, np.mod(psis + gap, TWO_PI))
+    return frame, ux, uy, vx, vy, errors
 
 
 def _smooth_tangent_exit(spec, up, rho):

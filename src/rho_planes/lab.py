@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NonClosingError, NumericalError
 from .norms import TWO_PI, NormSpec, UnitPoint, natural_param, wedge
-from .chords import chord_frame, round_frame, star_map_many
+from .chords import chord_frame, star_map_many
 from .polygons import STATUS_CLOSED, RhoPolygon, build_polygon, rho_from_kn
 from .areas import DEFAULT_SAMPLES, sector_area, total_ball_area
 
@@ -138,13 +138,12 @@ def _check_cells(spec, rhos, samples, tol) -> list[PropertyReport]:
     thetas = np.sort(np.concatenate((TWO_PI * np.arange(samples) / samples, _AXIS_ANGLES)))
     thetas = thetas[np.append(True, thetas[1:] != thetas[:-1])]  # np.unique imports numpy.ma
     n = len(thetas)
-    frame, psis = round_frame(spec, thetas)
     per_map = max(1, MAX_CHECK_SAMPLES // n)  # no star map holds more seeds than one check may
     reports = []
     for k in range(0, len(rhos), per_map):
         batch = rhos[k:k + per_map]
-        ux, uy, vx, vy, errors = star_map_many(frame, np.tile(psis, len(batch)),
-                                               np.repeat(np.asarray(batch, dtype=float), n))
+        frame, ux, uy, vx, vy, errors = star_map_many(
+            spec, np.tile(thetas, len(batch)), np.repeat(np.asarray(batch, dtype=float), n))
         mids = frame.value_many(0.5 * (ux + vx), 0.5 * (uy + vy))
         for j, rho in enumerate(batch):
             cell = range(j * n, (j + 1) * n)

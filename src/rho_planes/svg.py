@@ -2,8 +2,8 @@
 
 Fixed 800x800 canvas over the world viewport [-1.3, 1.3]^2; curves are
 drawn as 512-point polylines and vertices as circles of world radius
-0.012.  Layers stack in the fixed order sphere < homothet < ellipse <
-polygon < labels, and identical scenes render to identical bytes.
+0.012.  Curves, then markers, then labels stack in the order the scene
+holds them, and identical scenes render to identical bytes.
 """
 
 import math
@@ -21,14 +21,11 @@ CURVE_POINTS = 512
 VERTEX_RADIUS = 0.012
 LABEL_SIZE = 18
 
-_LAYER_ORDER = {"sphere": 0, "homothet": 1, "ellipse": 2, "polygon": 3, "labels": 4}
-
 _SCALE = CANVAS / (2.0 * VIEW_HALF)
 
 
 @dataclass(frozen=True)
 class Curve:
-    layer: str
     points: np.ndarray  # (n, 2) world coordinates
     closed: bool = True
     stroke: str = "#000000"
@@ -38,7 +35,6 @@ class Curve:
 
 @dataclass(frozen=True)
 class Markers:
-    layer: str
     points: np.ndarray  # (n, 2) world coordinates
     fill: str = "#000000"
 
@@ -94,33 +90,22 @@ def render_svg(scene: Scene, comment: str | None = None) -> str:
         lines.append(f"<!-- config: {comment} -->")
     lines.append(f'<rect width="{CANVAS}" height="{CANVAS}" fill="#ffffff"/>')
 
-    drawables: list[tuple[int, int, str]] = []
-    seq = 0
-    for curve in scene.curves:
-        if not np.isfinite(curve.points).all():
+    for points in [c.points for c in scene.curves] + [m.points for m in scene.markers]:
+        if not np.isfinite(_pixels(points)).all():
             raise DomainError("non-finite curve coordinate")
+    for curve in scene.curves:
         coords, tag = _poly_attr(curve.points, curve.closed)
         dash = f' stroke-dasharray="{curve.dash}"' if curve.dash else ""
-        drawables.append((_LAYER_ORDER[curve.layer], seq,
-                          f'<{tag} points="{coords}" fill="none" '
-                          f'stroke="{curve.stroke}" stroke-width="{curve.width}"{dash}/>'))
-        seq += 1
+        lines.append(f'<{tag} points="{coords}" fill="none" '
+                     f'stroke="{curve.stroke}" stroke-width="{curve.width}"{dash}/>')
     r = VERTEX_RADIUS * _SCALE
     for marks in scene.markers:
-        for px, py in _pixels(marks.points).tolist():
-            drawables.append((_LAYER_ORDER[marks.layer], seq,
-                              f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{r:.3f}" '
-                              f'fill="{marks.fill}"/>'))
-            seq += 1
+        lines.extend(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{r:.3f}" fill="{marks.fill}"/>'
+                     for px, py in _pixels(marks.points).tolist())
     for labels in scene.labels:
-        for (px, py), text in zip(_pixels(labels.points).tolist(), labels.texts):
-            drawables.append((_LAYER_ORDER["labels"], seq,
-                              f'<text x="{px:.3f}" y="{py:.3f}" font-family="sans-serif" '
-                              f'font-size="{LABEL_SIZE}" fill="{labels.fill}">{text}</text>'))
-            seq += 1
-
-    drawables.sort(key=lambda d: (d[0], d[1]))
-    lines.extend(d[2] for d in drawables)
+        lines.extend(f'<text x="{px:.3f}" y="{py:.3f}" font-family="sans-serif" '
+                     f'font-size="{LABEL_SIZE}" fill="{labels.fill}">{text}</text>'
+                     for (px, py), text in zip(_pixels(labels.points).tolist(), labels.texts))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -129,27 +114,24 @@ def sphere_scene(spec: NormSpec, rho: float | None = None) -> Scene:
     """Unit circle, optionally with its rho-homothet."""
     scene = Scene()
     sphere = circle_points(spec)
-    scene.curves.append(Curve("sphere", sphere, stroke="#000000", width=2.0))
+    scene.curves.append(Curve(sphere, stroke="#000000", width=2.0))
     if rho is not None:
-        scene.curves.append(Curve("homothet", rho * sphere,
-                                  stroke="#888888", width=1.2, dash="6,4"))
+        scene.curves.append(Curve(rho * sphere, stroke="#888888", width=1.2, dash="6,4"))
     return scene
 
 
 def add_polygon_layer(scene: Scene, vertices: list[tuple[float, float]],
                       closed: bool) -> None:
     points = np.asarray(vertices, dtype=float)
-    scene.curves.append(Curve("polygon", points, closed=closed,
-                              stroke="#c22222", width=1.6))
-    scene.markers.append(Markers("polygon", points, fill="#c22222"))
+    scene.curves.append(Curve(points, closed=closed, stroke="#c22222", width=1.6))
+    scene.markers.append(Markers(points, fill="#c22222"))
 
 
 def add_ellipse_layer(scene: Scene, conic: ConicForm) -> None:
-    scene.curves.append(Curve("ellipse", conic_points(conic),
-                              stroke="#2040c0", width=1.4, dash="2,3"))
+    scene.curves.append(Curve(conic_points(conic), stroke="#2040c0", width=1.4, dash="2,3"))
 
 
 def add_marked_points(scene: Scene, points: list[tuple[float, float, str]]) -> None:
     xy = np.array([(x, y) for x, y, _ in points], dtype=float)
-    scene.markers.append(Markers("polygon", xy, fill="#106010"))
+    scene.markers.append(Markers(xy, fill="#106010"))
     scene.labels.append(Labels(xy + 0.03, [t for _, _, t in points], fill="#106010"))

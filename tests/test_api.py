@@ -71,3 +71,56 @@ def test_no_unused_imports():
                     if bound not in used:
                         unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {bound}")
     assert unused == []
+
+
+
+def _package_reads(path: Path) -> set[str]:
+    """Names a file reads from the package: those it imports from the package (or a
+    module of it) and loads, and attributes on a chain that starts at the package or
+    at a name imported from it.  A same-named local, parameter or attribute of
+    another object does not count."""
+    tree = ast.parse(path.read_text(), str(path))
+    loaded = _loaded_names(tree)
+    roots, reads = set(PACKAGE_NAMES), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] in PACKAGE_NAMES):
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                roots.add(bound)
+                if bound in loaded:
+                    reads.add(alias.name)
+    return reads | {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and _chain_root(node) in roots}
+
+
+def _module_level_names(tree) -> list[str]:
+    """The functions, classes and constants a module defines at its top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def test_every_module_level_name_is_read():
+    """A library module's (not `__init__.py`) functions, classes and constants are each
+    read somewhere: in their own module beyond the definition, in another library
+    module, in the benchmark (not its tests) or in the acceptance suite.  Test-only
+    readers do not count, so a helper the library stopped calling cannot linger for
+    its tests."""
+    library = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    readers = library + [p for p in (ROOT / "perfbench").glob("*.py")
+                         if not p.name.startswith("test_")]
+    read = set().union(*(_package_reads(p) for p in readers),
+                       _package_reads(ROOT / "tests" / "test_acceptance.py"))
+    unread = []
+    for path in library:
+        tree = ast.parse(path.read_text(), str(path))
+        own = _loaded_names(tree)
+        unread += [f"{path.stem}.{name}" for name in _module_level_names(tree)
+                   if name not in own and name not in read]
+    assert unread == []

@@ -158,18 +158,30 @@ def test_star_map_matches_bisection_oracle(spec, rng):
             assert max(abs(got.x - want.x), abs(got.y - want.y)) <= 1e-13, (theta, rho)
 
 
+def _in_round_frame(spec, p):
+    """Unit point p of a quadratic gauge, sent to the unit circle of its round frame."""
+    x, y = spec.round_frame[0](*p.coords)
+    r = math.hypot(x, y)
+    return x / r, y / r
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
 def test_star_map_many_matches_scalar_star_map(spec):
     thetas = sorted(set(np.linspace(0.0, TWO_PI, 64, endpoint=False))
                     | {k * math.pi / 4 for k in range(8)} | set(spec.corner_angles))
     for rho in (0.05, 0.5, math.cos(math.pi / 5), 0.98):
-        ux, uy, vx, vy, errors = star_map_many(spec, thetas, rho)
+        frame, ux, uy, vx, vy, errors = star_map_many(spec, thetas, rho)
         assert errors == {}
         for i, theta in enumerate(thetas):
             u = natural_param(spec, theta)
             v = star_map(spec, u, rho)
             got = (ux[i], uy[i], vx[i], vy[i])
             want = u.coords + v.coords
+            if spec.round_frame is not None:  # compared in the frame, the Euclidean plane
+                assert frame.spec_id == "euclid"
+                want = _in_round_frame(spec, u) + _in_round_frame(spec, v)
+            else:
+                assert frame is spec
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13, (theta, rho)
 
 
@@ -209,6 +221,23 @@ def test_star_map_many_fails_a_seed_with_the_scalar_message(spec):
         with pytest.raises(NumericalError) as info:
             star_map(spec, natural_param(spec, theta), 1e-12)
         assert errors[i] == str(info.value)
+
+
+ROTATED_THIN_QUAD = "quad:5.009715384073066,-10.936170163574989,5.968393896914864"
+
+
+@pytest.mark.parametrize("text", ["quad:2,1,3", ROTATED_THIN_QUAD], ids=["quad", "thin"])
+def test_quadratic_star_map_failures_name_the_seed_angle(text):
+    """Solved in the round frame, a failing seed is still named by its own theta."""
+    spec = NormSpec.parse(text)
+    thetas = [0.0, 1.0, 2.5, 4.0]
+    *_, errors = star_map_many(spec, thetas, 1e-12)
+    assert sorted(errors) == [0, 1, 2, 3]
+    for i, theta in enumerate(thetas):
+        name = f"theta={theta:.6f}"
+        with pytest.raises(NumericalError) as info:
+            star_map(spec, natural_param(spec, theta), 1e-12)
+        assert name in str(info.value) and name in errors[i], (theta, errors[i])
 
 
 # a corner seed two floats below rho = 1: the tangent vertex is u to rounding, no

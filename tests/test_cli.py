@@ -470,6 +470,22 @@ def test_malformed_polygon_record_is_a_usage_error(change, words, tmp_path, caps
     assert words in json.loads(err)["error"]["message"]
 
 
+def test_a_vertex_whose_pixel_overflows_is_a_usage_error(tmp_path, capsys):
+    record = tmp_path / "poly.json"
+    assert run(["polygon", "--spec", "euclid", "--kn", "1,5", "--out", str(record)],
+               capsys)[0] == 0
+    doc = json.loads(record.read_text())
+    doc["polygon"]["vertices"][0][1:] = [1e308, 0.0]
+    record.write_text(json.dumps(doc))
+    svg = tmp_path / "poly.svg"
+    code, out, err = run(["render", "--from-json", str(record), "--out", str(svg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["type"] == "usage"
+    assert not svg.exists()
+
+
 @pytest.mark.parametrize("argv, entries", [
     (["check", "--spec", "euclid", "--rho", "0.3", "--rho", "0.5", "--samples", "16"], None),
     (["polygon", "--spec", "euclid", "--rho", "0.5", "--seed", "1", "--seed", "2"], None),

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import random
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -81,3 +82,48 @@ def test_check_on_any_lp_exponent_and_numeric_flags_is_typed_and_one_json_line(p
     assert code in (0, 1, 2, 3), lines
     assert len(lines) == 1, lines
     json.loads(lines[0], parse_constant=_no_constant)
+
+
+
+EDGE_NUMBERS = ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-5e-324", "-0.0"]
+MALFORMED = ["", " ", "x", "1e", "--1", "0x10", "1,", ",1", "1;2", "1,2,3"]
+SPEC_COMMANDS = {
+    "check": ["--rho", "0.5", "--samples", "16"],
+    "polygon": ["--rho", "0.5", "--max-steps", "60"],
+    "area": ["--alpha", "0", "--beta", "1"],
+}
+
+
+def _fuzz_number(rng, x):
+    """x, or now and then an edge value or a malformed chunk in its place."""
+    r = rng.random()
+    if r < 0.88:
+        return repr(x)
+    return rng.choice(EDGE_NUMBERS if r < 0.96 else MALFORMED)
+
+
+def _fuzz_spec(rng):
+    """A quad triple, or 1-7 poly vertices counterclockwise on a half-turn (so that
+    many parse), with some numbers replaced."""
+    if rng.random() < 0.3:
+        abc = (rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.0, 3.0))
+        return "quad:" + ",".join(_fuzz_number(rng, x) for x in abc)
+    angles = sorted(rng.uniform(0.0, math.pi) for _ in range(rng.randint(1, 7)))
+    radii = [rng.uniform(0.2, 3.0) for _ in angles]
+    return "poly:" + ";".join(f"{_fuzz_number(rng, r * math.cos(a))},"
+                              f"{_fuzz_number(rng, r * math.sin(a))}"
+                              for a, r in zip(angles, radii))
+
+
+def test_any_poly_or_quad_spec_text_is_typed_and_one_json_line():
+    """Exit 0-3 (4 is a defect) and one line of strict JSON, for any poly or quad text."""
+    rng = random.Random(1701)
+    codes = set()
+    for _ in range(600):
+        spec, command = _fuzz_spec(rng), rng.choice(sorted(SPEC_COMMANDS))
+        code, lines = run([command, "--spec", spec] + SPEC_COMMANDS[command])
+        assert code in (0, 1, 2, 3), (spec, command, lines)
+        assert len(lines) == 1, (spec, command, lines)
+        json.loads(lines[0], parse_constant=_no_constant)
+        codes.add(code)
+    assert {0, 2} <= codes  # both valid and rejected specs were reached

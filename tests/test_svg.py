@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 from rho_planes import NormSpec
 from rho_planes.conics import ConicForm
 from rho_planes.errors import DomainError
-from rho_planes.svg import (_SCALE, VIEW_HALF, Curve, Scene, _poly_attr, add_ellipse_layer,
-                            add_polygon_layer, circle_points, conic_points, render_svg,
-                            sphere_scene)
+from rho_planes.svg import (_SCALE, VIEW_HALF, Curve, Markers, Scene, _poly_attr,
+                            add_ellipse_layer, add_polygon_layer, circle_points, conic_points,
+                            render_svg, sphere_scene)
 
 from conftest import (ALL_SPECS, EUCLID, SQUARE, per_point_conic, per_point_coords,
                       scaled_circle, spec_ids)
 
 
 def test_single_circle_layer():
-    scene = Scene(curves=[Curve("sphere", circle_points(EUCLID))])
+    scene = Scene(curves=[Curve(circle_points(EUCLID))])
     text = render_svg(scene)
     assert text.startswith("<svg ")
     assert text.count("<polygon") == 1
@@ -46,14 +46,16 @@ def test_render_is_deterministic():
 
 
 def test_non_finite_geometry_rejected():
-    scene = Scene(curves=[Curve("sphere", [(0.0, math.inf), (1.0, 0.0)])])
-    with pytest.raises(DomainError):
-        render_svg(scene)
+    # an infinite coordinate, and a finite vertex whose pixel overflows
+    for points in ([(0.0, math.inf), (1.0, 0.0)], [(1e308, 0.0), (0.0, 1.0)]):
+        for scene in (Scene(curves=[Curve(points)]), Scene(markers=[Markers(points)])):
+            with pytest.raises(DomainError):
+                render_svg(scene)
 
 
 def test_nan_geometry_rejected():
     scene = sphere_scene(EUCLID, rho=0.5)
-    scene.curves.append(Curve("polygon", np.array([[1.0, 0.0], [math.nan, 0.5]])))
+    scene.curves.append(Curve(np.array([[1.0, 0.0], [math.nan, 0.5]])))
     with pytest.raises(DomainError):
         render_svg(scene)
 
