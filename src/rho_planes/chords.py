@@ -86,7 +86,7 @@ def _star(spec, up, rho, theta) -> UnitPoint:
         px, py, t = _smooth_tangent_exit(spec, up, rho)
     sx, sy = ux + t * (px - ux), uy + t * (py - uy)
     gap = (math.atan2(sy, sx) - up.theta) % TWO_PI
-    if _failed_gap(gap):
+    if not 0.0 < gap < math.pi - ANTIPODAL_GUARD:  # `_failed_gap` in plain floats
         raise NumericalError(_gap_error(theta, gap, rho))
     return natural_param(spec, up.theta + gap)
 

@@ -344,6 +344,9 @@ def _cmd_probe_even(conf: dict) -> int:
 
 
 def _cmd_render(conf: dict) -> int:
+    seed = conf.get("seed", _DEFAULTS["seed"])
+    if not math.isfinite(seed):  # written to the SVG's config comment even when unused
+        raise UsageError(f"--seed must be finite, got {seed!r}")
     from_json = conf.get("from_json")
     if from_json:
         try:

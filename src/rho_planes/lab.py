@@ -8,6 +8,7 @@ deviations rather than bare booleans so near-misses stay visible.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -135,8 +136,7 @@ def _check_cells(spec, rhos, samples, tol) -> list[PropertyReport]:
     """
     if not 8 <= samples <= MAX_CHECK_SAMPLES:
         raise DomainError(f"samples must lie in [8, {MAX_CHECK_SAMPLES}], got {samples}")
-    thetas = np.sort(np.concatenate((TWO_PI * np.arange(samples) / samples, _AXIS_ANGLES)))
-    thetas = thetas[np.append(True, thetas[1:] != thetas[:-1])]  # np.unique imports numpy.ma
+    thetas = _seed_grid(samples)
     n = len(thetas)
     per_map = max(1, MAX_CHECK_SAMPLES // n)  # no star map holds more seeds than one check may
     reports = []
@@ -159,6 +159,15 @@ def _check_cells(spec, rhos, samples, tol) -> list[PropertyReport]:
             reports.append(PropertyReport(spec.spec_id, rho, n, worst, float(thetas[i]),
                                           worst <= tol, tol, "; ".join(failures)))
     return reports
+
+
+@functools.lru_cache(maxsize=8)
+def _seed_grid(samples):
+    """The sorted seed angles of a check at `samples`, read-only: the uniform grid and the axes."""
+    thetas = np.sort(np.concatenate((TWO_PI * np.arange(samples) / samples, _AXIS_ANGLES)))
+    thetas = thetas[np.append(True, thetas[1:] != thetas[:-1])]  # np.unique imports numpy.ma
+    thetas.flags.writeable = False
+    return thetas
 
 
 def _closed_or_raise(spec, seed, rho, what) -> RhoPolygon:

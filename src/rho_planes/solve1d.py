@@ -68,50 +68,71 @@ def illinois_root_many(f, a, b, fa, fb, guess=None) -> np.ndarray:
     Every element takes the steps the scalar root takes on it, with its
     element of `guess`.  After each step only the elements still running
     are kept, and f(x, idx) is called with their points x and their
-    indices idx into the input arrays.
+    indices idx into the input arrays.  The bracket is updated in place,
+    and the end nudges are worked out only on steps where a secant point
+    lands on an end.  A degenerate bracket's secant point is NaN or
+    infinite, and bisected: the loop runs in one numpy error state that
+    ignores division by zero, invalid operations and overflow, and f runs
+    inside it, so f's own warnings of those kinds are silenced too.
     """
-    a, b, fa, fb = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, fa, fb)))
+    shape = np.broadcast(a, b, fa, fb).shape
+    a, b, fa, fb = (np.full(shape, v, dtype=float) for v in (a, b, fa, fb))
     out = np.empty_like(a)
     idx = np.arange(a.size)
-    side = np.zeros(a.size, dtype=int)
-    lo_nudged = hi_nudged = np.zeros(a.size, dtype=bool)
-    for _ in range(MAX_ITERS):
-        mid = 0.5 * (a + b)
-        denom = fb - fa
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    low = np.full(a.size, -1, dtype=np.int8)  # whether a moved last step; neither at first
+    nudged = None  # (lo, hi): the ends nudged last step, None when none was
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(MAX_ITERS):
+            denom = fb - fa
             x = b - fb * (b - a) / denom
-        x = np.where((denom == 0.0) | np.isnan(x), mid, x)
-        if guess is not None:
-            x = np.where((a < guess) & (guess < b), guess, x)
-            guess = None
-        lo, hi = x <= a, x >= b
-        x = np.minimum(np.maximum(x, np.nextafter(a, b)), np.nextafter(b, a))
-        again = (lo & lo_nudged) | (hi & hi_nudged)  # a second nudge of one end bisects
-        if again.any():
-            x = np.where(again, mid, x)
-            lo, hi = lo & ~again, hi & ~again
-        lo_nudged, hi_nudged = lo, hi
-        stuck = (x <= a) | (x >= b)  # a and b are neighbouring floats
-        if stuck.any():
-            out[idx[stuck]] = mid[stuck]
-            a, b, fa, fb, side, lo_nudged, hi_nudged, idx, x = (
-                v[~stuck] for v in (a, b, fa, fb, side, lo_nudged, hi_nudged, idx, x))
-            if idx.size == 0:
-                return out
-        fx = f(x, idx)
-        low = fx < 0.0
-        moved = np.where(low, -1, 1)
-        repeat = side == moved  # the same end moves twice running: halve the other's value
-        a, fa = np.where(low, x, a), np.where(low, fx, np.where(repeat, 0.5 * fa, fa))
-        b, fb = np.where(low, b, x), np.where(low, np.where(repeat, 0.5 * fb, fb), fx)
-        side = moved
-        hit = fx == 0.0
-        done = hit | (b - a <= XTOL)
-        if done.any():
-            out[idx[done]] = np.where(hit, x, 0.5 * (a + b))[done]
-            a, b, fa, fb, side, lo_nudged, hi_nudged, idx = (
-                v[~done] for v in (a, b, fa, fb, side, lo_nudged, hi_nudged, idx))
-            if idx.size == 0:
-                return out
+            if guess is not None:
+                np.copyto(x, guess, where=(a < guess) & (guess < b))
+                guess = None
+            inside = (a < x) & (x < b)
+            if np.count_nonzero(inside) < x.size:
+                mid = 0.5 * (a + b)  # for a NaN secant point or a zero denominator, not a guess
+                np.copyto(x, mid, where=(np.isnan(x) | (denom == 0.0)) & ~inside)
+                lo, hi = x <= a, x >= b
+                if nudged is not None:  # a second nudge of one end bisects
+                    again = (lo & nudged[0]) | (hi & nudged[1])
+                    np.copyto(x, mid, where=again)
+                    lo, hi = lo & ~again, hi & ~again
+                np.copyto(x, np.nextafter(a, b), where=lo)
+                np.copyto(x, np.nextafter(b, a), where=hi)
+                stuck = (x <= a) | (x >= b)  # a and b are neighbouring floats
+                if np.count_nonzero(stuck):
+                    out[idx[stuck]] = mid[stuck]
+                    keep = (~stuck).nonzero()[0]
+                    if keep.size == 0:
+                        return out
+                    a, b, fa, fb, idx = a[keep], b[keep], fa[keep], fb[keep], idx[keep]
+                    x, low, lo, hi = x[keep], low[keep], lo[keep], hi[keep]
+                nudged = lo, hi
+            else:
+                nudged = None
+            fx = f(x, idx)
+            now_low = fx < 0.0
+            # the same end moves twice running: halve the other end's value
+            # (both are halved; the moving end's value is replaced below)
+            repeat = now_low == low
+            np.multiply(fa, 0.5, out=fa, where=repeat)
+            np.multiply(fb, 0.5, out=fb, where=repeat)
+            low, high = now_low, ~now_low
+            np.copyto(a, x, where=low)
+            np.copyto(fa, fx, where=low)
+            np.copyto(b, x, where=high)
+            np.copyto(fb, fx, where=high)
+            hit = fx == 0.0
+            done = hit | (b - a <= XTOL)
+            if np.count_nonzero(done):
+                r = 0.5 * (a + b)
+                np.copyto(r, x, where=hit)
+                out[idx[done]] = r[done]
+                keep = (~done).nonzero()[0]
+                if keep.size == 0:
+                    return out
+                a, b, fa, fb, idx, low = a[keep], b[keep], fa[keep], fb[keep], idx[keep], low[keep]
+                if nudged is not None:
+                    nudged = nudged[0][keep], nudged[1][keep]
     out[idx] = 0.5 * (a + b)
     return out

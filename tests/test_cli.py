@@ -129,6 +129,20 @@ def test_non_finite_seed_is_a_usage_error(seed, capsys):
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "usage"
 
 
+@pytest.mark.parametrize("argv", [
+    ["render", "--spec", "lp:1", "--rho", "0.5", "--seed", "nan"],
+    ["render", "--spec", "poly:1,0;0,1;-1,0;0,-1", "--rho", "0.5", "--seed", "1e400"],
+    ["render", "--spec", "euclid", "--rho", "0.5", "--seed", "-inf"],
+], ids=["lp1-nan", "poly-overflow", "euclid-minus-inf"])
+def test_render_rejects_a_non_finite_seed_it_does_not_use(argv, capsys):
+    # without --show-ellipse the seed is only written to the SVG's config
+    # comment, which holds no NaN: this used to exit 4 from the JSON encoder
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["error"]["type"] == "usage"
+
+
 def test_usage_error_leaves_no_partial_file(tmp_path, capsys):
     out = tmp_path / "never.json"
     code, _, _ = run(["check", "--spec", "euclid", "--out", str(out)], capsys)

@@ -84,6 +84,48 @@ def test_check_on_any_lp_exponent_and_numeric_flags_is_typed_and_one_json_line(p
     json.loads(lines[0], parse_constant=_no_constant)
 
 
+def _counts(lo, hi):
+    """A small valid count, or any number as text."""
+    return st.one_of(st.integers(lo, hi).map(str), NUMBERS)
+
+
+RHO_LISTS = st.lists(st.one_of(st.floats(0.05, 0.95).map(repr), NUMBERS),
+                     min_size=1, max_size=3).map(",".join)
+NUMERIC_FLAG_ARGVS = st.one_of(
+    st.builds(lambda seed, steps, tol: ["polygon", "--spec", "lp:3", "--rho", "0.5", "--seed",
+                                        seed, "--max-steps", steps, "--close-tol", tol],
+              NUMBERS, _counts(3, 40), NUMBERS),
+    st.builds(lambda alpha, beta, samples: ["area", "--spec", "lp:3", "--alpha", alpha,
+                                            "--beta", beta, "--samples", samples],
+              NUMBERS, NUMBERS, _counts(16, 64)),
+    st.builds(lambda seed: ["ellipse", "--spec", "quad:2,1,3", "--rho", "0.5", "--seed", seed],
+              NUMBERS),
+    st.builds(lambda spec, seed, extra: ["render", "--spec", spec, "--rho", "0.5",
+                                         "--seed", seed] + extra,
+              st.sampled_from(["lp:3", "lp:1"]), NUMBERS,
+              st.sampled_from([[], ["--show-ellipse"]])),
+    st.builds(lambda seed: ["probe-even", "--spec", "euclid", "--kn", "1,4", "--seed", seed],
+              NUMBERS),
+    st.builds(lambda rhos, samples, tol: ["sweep", "--spec", "lp:3", "--rhos", rhos,
+                                          "--samples", samples, "--tol", tol],
+              RHO_LISTS, _counts(8, 24), NUMBERS),
+    st.builds(lambda tol: ["check", "--spec", "lp:3", "--rho", "0.5", "--samples", "16",
+                           "--tol", tol], NUMBERS),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=NUMERIC_FLAG_ARGVS)
+def test_numeric_flags_of_every_command_are_typed_and_one_json_line(argv):
+    """Exit 0-3 (4 is a defect) and one line of strict JSON, or an SVG with no NaN from render."""
+    code, lines = run(argv)
+    assert code in (0, 1, 2, 3), (argv, lines)
+    if argv[0] == "render" and code == 0:
+        assert lines[0].startswith("<") and "nan" not in "\n".join(lines).lower(), argv
+        return
+    assert len(lines) == 1, (argv, lines)
+    json.loads(lines[0], parse_constant=_no_constant)
+
 
 EDGE_NUMBERS = ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-5e-324", "-0.0"]
 MALFORMED = ["", " ", "x", "1e", "--1", "0x10", "1,", ",1", "1;2", "1,2,3"]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from rho_planes import (DomainError, NonClosingError, NormSpec, NumericalError,
@@ -65,6 +66,18 @@ def test_check_seed_grid_matches_the_set_oracle(monkeypatch):
     for samples in [*range(8, 600, 7), 599, 1000, 4096, MAX_CHECK_SAMPLES]:
         check_midpoint_property(EUCLID, 0.5, samples)
         assert grids[-1].tolist() == check_seeds(samples), samples
+
+
+@pytest.mark.parametrize("samples", [8, 256, 257, MAX_CHECK_SAMPLES])
+def test_seed_grid_is_cached_read_only(samples):
+    built = np.sort(np.concatenate((TWO_PI * np.arange(samples) / samples, lab._AXIS_ANGLES)))
+    built = built[np.append(True, built[1:] != built[:-1])]
+    grid = lab._seed_grid(samples)
+    assert lab._seed_grid(samples) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 1.0
+    assert grid.dtype == built.dtype and grid.tobytes() == built.tobytes()
 
 
 def test_check_never_passes_vacuously():

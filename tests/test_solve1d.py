@@ -28,8 +28,30 @@ def _tiny_step(x, c):
         1e-300 if x >= c else -1.0)
 
 
+def _nan_side(x, c):
+    # NaN a little right of the root, so the bracket's right value starts NaN
+    # and a NaN value later moves the right end with a NaN secant after it
+    d = x - c
+    if isinstance(x, np.ndarray):
+        return np.where(d <= 0.5, d * (1.0 + d * d), np.nan)
+    return d * (1.0 + d * d) if d <= 0.5 else math.nan
+
+
+def _inf_end(x, c):
+    # on [-3, inf], NaN at the infinite end, like the exit root's null step:
+    # the first secant point is NaN, the bisection point inf, nudged to the
+    # largest float
+    if isinstance(x, np.ndarray):
+        return np.where(x < math.inf, np.tanh(x - c), np.nan)
+    return math.tanh(x - c) if x < math.inf else math.nan
+
+
+_inf_end.right = math.inf
+
+
 def _scalar_roots(g, cs, guesses):
-    """Each element's `illinois_root` on [-3, 3] with its evaluation count."""
+    """Each element's `illinois_root` on [g.left, g.right] (default [-3, 3]) and its call count."""
+    left, right = getattr(g, "left", -3.0), getattr(g, "right", 3.0)
     roots, counts = [], []
     for c, guess in zip(cs, guesses):
         calls = [0]
@@ -38,7 +60,7 @@ def _scalar_roots(g, cs, guesses):
             calls[0] += 1
             return g(x, c)
 
-        roots.append(illinois_root(f, -3.0, 3.0, g(-3.0, c), g(3.0, c), guess=guess))
+        roots.append(illinois_root(f, left, right, g(left, c), g(right, c), guess=guess))
         counts.append(calls[0])
     return roots, counts
 
@@ -51,9 +73,10 @@ def _array_roots(g, cs, guesses):
         np.add.at(counts, idx, 1)
         return g(x, cs[idx])
 
-    fa = np.array([g(-3.0, c) for c in cs])
-    fb = np.array([g(3.0, c) for c in cs])
-    return illinois_root_many(f_many, -3.0, 3.0, fa, fb, guess=guesses).tolist(), counts.tolist()
+    left, right = getattr(g, "left", -3.0), getattr(g, "right", 3.0)
+    fa = np.array([g(left, c) for c in cs])
+    fb = np.array([g(right, c) for c in cs])
+    return illinois_root_many(f_many, left, right, fa, fb, guess=guesses).tolist(), counts.tolist()
 
 
 _CS = np.random.default_rng(5).uniform(-8.0, 8.0, 300)
@@ -62,7 +85,11 @@ _GUESSES = np.concatenate([np.random.default_rng(6).uniform(-3.0, 3.0, 240),
                            [-3.0, 3.0, -5.0, 5.0, math.nan, math.inf] * 10])
 
 
-@pytest.mark.parametrize("g", [_cubic, _step, _tiny_step], ids=["cubic", "step", "tiny-step"])
+_ROOT_FUNCTIONS = [_cubic, _step, _tiny_step, _nan_side, _inf_end]
+_ROOT_IDS = ["cubic", "step", "tiny-step", "nan-side", "inf-end"]
+
+
+@pytest.mark.parametrize("g", _ROOT_FUNCTIONS, ids=_ROOT_IDS)
 def test_array_root_takes_the_scalar_steps(g):
     # + - * / are the same IEEE operations in numpy and in Python floats, so
     # each element must give the scalar root bit for bit after as many calls
@@ -73,13 +100,49 @@ def test_array_root_takes_the_scalar_steps(g):
         assert np.all(np.abs(np.array(many) - _CS)[inside] <= 1e-14)
 
 
-@pytest.mark.parametrize("g", [_cubic, _step, _tiny_step], ids=["cubic", "step", "tiny-step"])
+@pytest.mark.parametrize("g", _ROOT_FUNCTIONS, ids=_ROOT_IDS)
 def test_array_root_takes_the_scalar_steps_from_the_same_guesses(g):
     many, many_counts = _array_roots(g, _CS, _GUESSES)
     assert (many, many_counts) == _scalar_roots(g, _CS, _GUESSES.tolist())
     if g is not _cubic:
         inside = np.abs(_CS) < 3.0
         assert np.all(np.abs(np.array(many) - _CS)[inside] <= 1e-14)
+
+
+def _coarse(g):
+    """g moved to [9, 15], where neighbouring floats lie 1.8e-15 apart, more than XTOL."""
+    def moved(x, c):
+        return g(x - 12.0, c)
+
+    moved.left, moved.right = 9.0, 15.0
+    return moved
+
+
+@pytest.mark.parametrize("g", _ROOT_FUNCTIONS[:4], ids=_ROOT_IDS[:4])
+def test_array_root_takes_the_scalar_steps_where_floats_are_coarser_than_xtol(g):
+    # a bracket can close on two neighbouring floats before XTOL: those
+    # elements stop at their midpoint while the others run on
+    g = _coarse(g)
+    for guesses in (None, _GUESSES + 12.0):
+        scalar_guesses = [None] * _CS.size if guesses is None else guesses.tolist()
+        assert _array_roots(g, _CS, guesses) == _scalar_roots(g, _CS, scalar_guesses)
+
+
+def test_array_root_takes_a_guess_between_equal_end_values():
+    # equal end values give a zero denominator: the secant point is replaced
+    # by the midpoint, unless a guess inside the bracket replaces it first
+    seen = []
+
+    def f(x, idx):
+        seen.append(x.tolist())
+        return x - 1.0
+
+    illinois_root_many(f, 0.0, 3.0, [2.0, 2.0], [2.0, 2.0], guess=[2.5, math.nan])
+    assert seen[0] == [2.5, 1.5]
+    for guess, first in ((2.5, 2.5), (math.nan, 1.5)):
+        scalar = []
+        illinois_root(lambda x: scalar.append(x) or x - 1.0, 0.0, 3.0, 2.0, 2.0, guess=guess)
+        assert scalar[0] == first
 
 
 @pytest.mark.parametrize("g", [_cubic, _step, _tiny_step], ids=["cubic", "step", "tiny-step"])

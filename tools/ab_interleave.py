@@ -1,0 +1,99 @@
+"""Interleaved in-process A/B timing of two source trees on one workload.
+
+    python3 tools/ab_interleave.py --other ../parent --workload check_grid --seed 7
+
+Run from the repository root.  Side A is this tree's `src/rho_planes`;
+side B is the `src/rho_planes` of the tree given by --other, copied to a
+temporary directory and imported as `rho_planes_v`.  The workload's
+seeded prefix of --requests requests runs through `perfbench.loop.execute`
+on both sides, alternating which side goes first on each request, so a
+slow or fast phase of the host falls on both alike.  Each side keeps its
+own `oracles.Memo`.  Prints each side's summed latency, requests/s, p50
+and failures, how many requests' exit code, stdout or written file
+differ between the sides, and the gain of A over B; the last line is one
+JSON object.  `RHO_PLANES_SEED` is set to 1, as for golden files, so no
+output carries a timestamp.  Nothing under `perfbench/` changes.
+"""
+
+import argparse
+import importlib
+import json
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[0:1] = [ROOT, os.path.join(ROOT, "src")]
+
+from perfbench import loop, oracles, workloads  # noqa: E402
+
+
+def _load_other(tree: str, tmp: str):
+    src = os.path.join(os.path.abspath(tree), "src", "rho_planes")
+    if not os.path.isfile(os.path.join(src, "__init__.py")):
+        raise SystemExit(f"ab_interleave: no program source at {src}")
+    shutil.copytree(src, os.path.join(tmp, "rho_planes_v"),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    sys.path.insert(0, tmp)
+    rp = importlib.import_module("rho_planes_v")
+    importlib.import_module("rho_planes_v.cli")
+    return rp
+
+
+def _summary(latencies, failures) -> dict:
+    total = sum(latencies)
+    return {"seconds": total, "requests_per_s": len(latencies) / total,
+            "request_ms_p50": 1000.0 * statistics.median(latencies),
+            "failed": len(failures)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--other", required=True, help="root of the tree to compare against")
+    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--requests", type=int, default=640)
+    args = parser.parse_args(argv)
+    if args.requests < 1:
+        parser.error("--requests must be positive")
+
+    os.environ["RHO_PLANES_SEED"] = "1"
+    import rho_planes
+    import rho_planes.cli  # noqa: F401
+    os.chdir(ROOT)
+    os.makedirs(workloads.WORKDIR, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = [rho_planes, _load_other(args.other, tmp)]
+        prepared = [loop.prepare(rp, args.workload, args.seed, args.requests) for rp in sides]
+        reqs = prepared[0][0]
+        tallies = [loop.Tally(), loop.Tally()]
+        memos = [oracles.Memo(), oracles.Memo()]
+        differ = 0
+        for index, req in enumerate(reqs):
+            outcomes = [None, None]
+            for s in ((0, 1) if index % 2 == 0 else (1, 0)):
+                seconds, outcomes[s] = loop.execute(sides[s], req, prepared[s][1])
+                tallies[s].record(index, req, seconds, outcomes[s], memos[s])
+            a, b = outcomes
+            differ += (a.code, a.stdout, a.written) != (b.code, b.stdout, b.written)
+
+    result = {"workload": args.workload, "seed": args.seed, "requests": len(reqs),
+              "differ": differ}
+    for name, tally in zip(("a", "b"), tallies):
+        result[name] = _summary(tally.latencies, tally.failures)
+        print(f"{name}: {result[name]['seconds']:.4f} s summed, "
+              f"{result[name]['requests_per_s']:.2f} requests/s, "
+              f"p50 {result[name]['request_ms_p50']:.4f} ms, {result[name]['failed']} failed")
+        for line in tally.failures[:5]:
+            print(f"  FAILED {line}", file=sys.stderr)
+    result["gain"] = result["a"]["requests_per_s"] / result["b"]["requests_per_s"] - 1.0
+    print(f"{differ} of {len(reqs)} requests differ in exit code, stdout or file; "
+          f"A over B: {100.0 * result['gain']:+.1f}% requests/s")
+    print(json.dumps(result), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
