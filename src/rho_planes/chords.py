@@ -18,6 +18,7 @@ from .norms import (TWO_PI, NormSpec, UnitPoint, as_unit_point,
 from .solve1d import illinois_root, illinois_root_many
 
 ANTIPODAL_GUARD = 1e-9
+RESIDUAL_FLOOR = 4.0 * 2.0**-52  # the rounding of an O(1) root residual; see _smooth_tangent_exit
 
 
 @dataclass(frozen=True)
@@ -153,15 +154,24 @@ def _smooth_tangent_exit(spec, up, rho):
     sqrt(1 - rho^2)*Ju/N*(Ju), with g = grad N(u) and Ju = u turned a
     quarter turn, which has <m, u> = rho and is N*-unit when N* is
     Euclidean in the frame (g, Ju).  On the round circle psi_u is theta
-    and the guess theta + arccos(rho), with no rounding.
+    and the guess theta + arccos(rho), with no rounding.  Both residuals
+    are O(1) terms that cancel at the root, so one within RESIDUAL_FLOOR
+    of zero is taken as zero, and both roots end at their first evaluation
+    there.  The floor is capped at (1 - rho)/1024: both functions start at
+    rho - 1 with slope 0, and near rho = 1 a fixed floor would accept
+    points far from the root.  The exit is evaluated at t = 2 first; its
+    root brackets [1, 2] when the gap there is positive, and [2, max(2,
+    2/N(p - u))] when it is negative.
     """
     ux, uy = up.coords
     dual, value = spec.dual, spec.value
     dual_value = dual.value
+    tau = min(RESIDUAL_FLOOR, (1.0 - rho) / 1024.0)
 
     def pairing(psi):
         nx, ny = math.cos(psi), math.sin(psi)
-        return rho - (nx * ux + ny * uy) / dual_value(nx, ny)
+        r = rho - (nx * ux + ny * uy) / dual_value(nx, ny)
+        return 0.0 if -tau <= r <= tau else r
 
     if dual is spec:
         psi_u, guess = up.theta, up.theta + math.acos(rho)
@@ -176,11 +186,17 @@ def _smooth_tangent_exit(spec, up, rho):
     dx, dy = px - ux, py - uy
 
     def exit_gap(t):
-        return value(ux + t * dx, uy + t * dy) - 1.0
+        g = value(ux + t * dx, uy + t * dy) - 1.0
+        return 0.0 if -tau <= g <= tau else g
 
+    g2 = exit_gap(2.0)
+    if g2 == 0.0:
+        return px, py, 2.0
+    if g2 > 0.0:
+        return px, py, illinois_root(exit_gap, 1.0, 2.0, rho - 1.0, g2)
     span = value(dx, dy)  # 0 when p rounds onto u: a null step, failed by the gap
-    hi = max(1.0, 2.0 / span) if span > 0.0 else math.inf
-    return px, py, illinois_root(exit_gap, 1.0, hi, rho - 1.0, exit_gap(hi), guess=2.0)
+    hi = max(2.0, 2.0 / span) if span > 0.0 else math.inf
+    return px, py, illinois_root(exit_gap, 2.0, hi, g2, exit_gap(hi))
 
 
 def _poly_tangent_exit(spec, up, rho):
@@ -221,10 +237,13 @@ def _smooth_tangent_exit_many(spec, thetas, ux, uy, rho):
     """`_smooth_tangent_exit` on arrays of seeds: both roots by `illinois_root_many`."""
     dual, value_many = spec.dual, spec.value_many
     dual_value_many = dual.value_many
+    tau = np.minimum(RESIDUAL_FLOOR, (1.0 - rho) / 1024.0)
 
     def pairing(psi, i):
         nx, ny = np.cos(psi), np.sin(psi)
-        return rho[i] - (nx * ux[i] + ny * uy[i]) / dual_value_many(nx, ny)
+        r = rho[i] - (nx * ux[i] + ny * uy[i]) / dual_value_many(nx, ny)
+        np.copyto(r, 0.0, where=np.abs(r) <= tau[i])
+        return r
 
     if dual is spec:
         psi_u, guess = thetas, thetas + np.arccos(rho)
@@ -239,12 +258,22 @@ def _smooth_tangent_exit_many(spec, thetas, ux, uy, rho):
     dx, dy = px - ux, py - uy
 
     def exit_gap(t, i):
-        return value_many(ux[i] + t * dx[i], uy[i] + t * dy[i]) - 1.0
+        g = value_many(ux[i] + t * dx[i], uy[i] + t * dy[i]) - 1.0
+        np.copyto(g, 0.0, where=np.abs(g) <= tau[i])
+        return g
 
+    t = np.full(ux.shape, 2.0)
     with np.errstate(all="ignore"):  # p rounded onto u: an inf bracket and a null step
-        hi = np.maximum(1.0, 2.0 / value_many(dx, dy))
-        t = illinois_root_many(exit_gap, 1.0, hi, rho - 1.0, exit_gap(hi, slice(None)),
-                               guess=2.0)
+        g2 = exit_gap(2.0, slice(None))
+        run = np.flatnonzero(g2 != 0.0)  # the seeds that enter the exit root
+        if run.size:
+            a, b, fa, fb = np.ones(run.size), np.full(run.size, 2.0), rho[run] - 1.0, g2[run]
+            down = np.flatnonzero(~(fb > 0.0))  # the gap at 2 is negative (or NaN)
+            seeds = run[down]
+            a[down], fa[down] = 2.0, fb[down]
+            b[down] = np.maximum(2.0, 2.0 / value_many(dx[seeds], dy[seeds]))
+            fb[down] = exit_gap(b[down], seeds)
+            t[run] = illinois_root_many(lambda x, i: exit_gap(x, run[i]), a, b, fa, fb)
     return px, py, t
 
 

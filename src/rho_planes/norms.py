@@ -252,15 +252,20 @@ _DIAMOND_NORMALS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 def _lp_gauge(p, r):
     """The lp gauge and its gradient sign(x)*(|x|/N)^r, r = p - 1, scalar and on arrays.
 
-    Returns (value, value_many, grad, grad_many).  Each ratio is at most 1,
-    so no power overflows.
+    Returns (value, value_many, grad, grad_many).  The gauge is m*(1 +
+    (n/m)^p)^(1/p), m = max(|x|, |y|) and n the other: each ratio is at
+    most 1, so no power overflows, and the larger coordinate's, exactly 1,
+    is not raised to p.  One infinite coordinate gives inf.
     """
+    inv = 1.0 / p
+
     def value(x, y):
-        ax, ay = abs(x), abs(y)
-        m = ax if ax > ay else ay
+        m, n = abs(x), abs(y)
+        if not m > n:
+            m, n = n, m
         if m == 0.0:
             return 0.0
-        return m * ((ax / m) ** p + (ay / m) ** p) ** (1.0 / p)
+        return m * (1.0 + (n / m) ** p) ** inv
 
     def grad(x, y):
         n = value(x, y)
@@ -269,8 +274,9 @@ def _lp_gauge(p, r):
     def value_many(x, y):
         ax, ay = np.abs(x), np.abs(y)
         m = np.maximum(ax, ay)
-        m = np.where(m == 0.0, 1.0, m)
-        return m * ((ax / m) ** p + (ay / m) ** p) ** (1.0 / p)
+        # the least positive float in place of m = 0 only, where the ratio is then 0
+        n = np.minimum(ax, ay) / np.maximum(m, 5e-324)
+        return m * (1.0 + n ** p) ** inv
 
     def grad_many(x, y):
         n = value_many(x, y)

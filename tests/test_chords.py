@@ -1,13 +1,16 @@
 """Chord minima, the star map, and chord frames."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from rho_planes import (DomainError, NormSpec, NumericalError, chord_frame,
-                        midpoint_check, natural_param, star_map, wedge)
+                        check_midpoint_property, midpoint_check, natural_param, star_map,
+                        wedge)
 
+from rho_planes import chords
 from rho_planes.chords import _poly_tangent_exit, _poly_tangent_exit_many, star_map_many
 from rho_planes.norms import _line_min, _xy, unit_points
 
@@ -165,8 +168,45 @@ def _in_round_frame(spec, p):
     return x / r, y / r
 
 
+@pytest.fixture
+def exit_branches(monkeypatch):
+    """Counts, per path, the seeds whose exit root takes each bracket.
+
+    The gap g at t = 2 decides it: g = 0 ends at t = 2 and enters no exit
+    root ("zero"), g > 0 brackets [1, 2] ("above"), g < 0 brackets
+    [2, max(2, 2/N(p - u))] ("below"), and a null step, p rounded onto u,
+    has N(p - u) = 0 and brackets [2, inf] ("null").  Every seed of a
+    smooth star map enters the pairing root, so the seeds that enter no
+    exit root are the pairing root's seeds less the exit root's.
+    """
+    counts = {"scalar": Counter(), "array": Counter()}
+
+    def counted(path, root):
+        def wrapped(f, a, b, fa, fb, guess=None):
+            lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+            tally = counts[path]
+            if f.__name__ == "pairing":
+                tally["zero"] += lo.size
+            else:
+                tally["zero"] -= lo.size
+                tally["above"] += int(np.count_nonzero(lo == 1.0))
+                tally["below"] += int(np.count_nonzero((lo == 2.0) & (hi < math.inf)))
+                tally["null"] += int(np.count_nonzero((lo == 2.0) & (hi == math.inf)))
+            return root(f, a, b, fa, fb, guess=guess)
+        return wrapped
+
+    monkeypatch.setattr(chords, "illinois_root", counted("scalar", chords.illinois_root))
+    monkeypatch.setattr(chords, "illinois_root_many",
+                        counted("array", chords.illinois_root_many))
+    return counts
+
+
+def _reached(counts):
+    return {branch for branch, n in counts.items() if n > 0}
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
-def test_star_map_many_matches_scalar_star_map(spec):
+def test_star_map_many_matches_scalar_star_map(spec, exit_branches):
     thetas = sorted(set(np.linspace(0.0, TWO_PI, 64, endpoint=False))
                     | {k * math.pi / 4 for k in range(8)} | set(spec.corner_angles))
     for rho in (0.05, 0.5, math.cos(math.pi / 5), 0.98):
@@ -183,6 +223,79 @@ def test_star_map_many_matches_scalar_star_map(spec):
             else:
                 assert frame is spec
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13, (theta, rho)
+    # on both paths an inner-product seed's exit ends at its guess t = 2, lp seeds
+    # take the brackets on either side of it, and polygons have no exit root
+    for path in ("scalar", "array"):
+        reached = _reached(exit_branches[path])
+        if not spec.smooth:
+            assert reached == set(), path
+        elif spec.is_ips_family:
+            assert reached == {"zero"}, path
+        else:
+            assert {"above", "below"} <= reached <= {"zero", "above", "below"}, path
+
+
+# a null step: on lp:2.5 two floats below rho = 1 the tangent point of this seed
+# rounds onto u, the gap at t = 2 is negative and the exit bracket is [2, inf]
+NULL_STEP_SPEC = NormSpec.lp(2.5)
+NULL_STEP_THETA, NULL_STEP_RHO = 0.20008861901983332, 1.0 - 2.0**-53
+
+
+def test_a_null_step_fails_on_both_paths_with_one_message(exit_branches):
+    with pytest.raises(NumericalError, match="could not leave the seed angle") as info:
+        star_map(NULL_STEP_SPEC, natural_param(NULL_STEP_SPEC, NULL_STEP_THETA), NULL_STEP_RHO)
+    *_, errors = star_map_many(NULL_STEP_SPEC, [NULL_STEP_THETA, 1.0], NULL_STEP_RHO)
+    assert errors == {0: str(info.value)}
+    assert exit_branches["scalar"]["null"] == 1
+    assert exit_branches["array"]["null"] == 1
+
+
+FLOOR_SPECS = [EUCLID, QUAD213, NormSpec.parse("quad:1e6,0,1"),
+               NormSpec.parse("quad:5.009715384073066,-10.936170163574989,5.968393896914864")]
+
+
+@pytest.mark.parametrize("spec", FLOOR_SPECS, ids=["euclid", "quad:2,1,3", "quad:1e6,0,1",
+                                                   "quad-thin-rotated"])
+def test_inner_product_seeds_end_each_root_at_its_first_evaluation(spec, monkeypatch):
+    """Both guesses are the inner-product answer, and its residual is under the floor.
+
+    The pairing root evaluates each seed once, at its guess; the gap at
+    t = 2, evaluated before the exit root, is zero, so no seed enters it.
+    """
+    calls = []
+
+    def counted(f, a, b, fa, fb, guess=None):
+        evals = np.zeros(np.broadcast(a, b, fa, fb).size, dtype=int)
+
+        def g(x, idx):
+            evals[idx] += 1
+            return f(x, idx)
+
+        calls.append((f.__name__, evals))
+        return root(g, a, b, fa, fb, guess=guess)
+
+    root = chords.illinois_root_many
+    monkeypatch.setattr(chords, "illinois_root_many", counted)
+    for rho in (0.05, 0.5, math.cos(math.pi / 5), 0.98):
+        calls.clear()
+        report = check_midpoint_property(spec, rho, 256)
+        assert report.passed and report.notes == "", rho
+        assert [name for name, _ in calls] == ["pairing"], rho
+        assert np.all(calls[0][1] == 1) and calls[0][1].size == report.samples, rho
+
+
+@pytest.mark.parametrize("p", [1.01, 16.0, 1e9])
+def test_lp_checks_pass_next_to_rho_one(p):
+    """Near rho = 1 the floor gives way to the root's own end tests.
+
+    The residuals start at rho - 1 with slope 0, so a floor that did not
+    shrink with 1 - rho would accept points far from the root; at
+    1 - 1e-15 a flat floor of 4 ulps gives max_dev 1.0 on lp:1.01.
+    """
+    spec = NormSpec.lp(p)
+    for rho in (1.0 - 1e-13, 1.0 - 1e-14, 1.0 - 1e-15):
+        report = check_midpoint_property(spec, rho)
+        assert report.passed and report.notes == "", (rho, report.max_midpoint_deviation)
 
 
 POLY_EXIT_SPECS = [NormSpec.lp(1), SQUARE, ORACLE_SPECS[-2]]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rho_planes import (ConfigurationError, DomainError, NormSpec,
-                        UnsupportedSpecError, birkhoff_successor,
+                        UnsupportedSpecError, as_unit_point, birkhoff_successor,
                         is_birkhoff_orthogonal, natural_param, unit_points, wedge)
 
 from conftest import (ALL_SPECS, DIAMOND, EUCLID, LP4, QUAD14, SMOOTH_SPECS,
@@ -133,6 +133,58 @@ def test_value_many_matches_value_at_extreme_scales(spec):
                 gx, gy = spec.grad_many(np.array([scale * x]), np.array([scale * y]))
                 want = spec.grad(scale * x, scale * y)
                 assert (float(gx[0]), float(gy[0])) == pytest.approx(want, rel=1e-12)
+
+
+def _three_power_lp(p, x, y):
+    """The lp gauge as m*((|x|/m)^p + (|y|/m)^p)^(1/p), m = max(|x|, |y|), scalar."""
+    ax, ay = abs(x), abs(y)
+    m = ax if ax > ay else ay
+    if m == 0.0:
+        return 0.0
+    return m * ((ax / m) ** p + (ay / m) ** p) ** (1.0 / p)
+
+
+def _three_power_lp_many(p, x, y):
+    ax, ay = np.abs(x), np.abs(y)
+    m = np.maximum(ax, ay)
+    m = np.where(m == 0.0, 1.0, m)
+    return m * ((ax / m) ** p + (ay / m) ** p) ** (1.0 / p)
+
+
+LP_EXPONENTS = [1.0 + 1e-9, 1.0 + 1e-6, 1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 7.3, 16.0,
+                1e3, 1e6, 1e9]
+
+
+@pytest.mark.parametrize("p", LP_EXPONENTS)
+def test_two_power_lp_gauge_is_the_three_power_gauge_bit_for_bit(p, rng):
+    """The larger coordinate's power is exactly 1, so leaving it out changes no bit."""
+    extremes = [0.0, 5e-324, 1e-300, 1e300, 1.0, 0.5]
+    extremes = sorted({s * v for v in extremes for s in (1.0, -1.0)})
+    pairs = [(x, y) for x in extremes for y in extremes]
+    pairs += [tuple(v) for v in rng.uniform(-2.0, 2.0, (200, 2))]
+    pairs += [tuple(v) for v in 10.0 ** rng.uniform(-300.0, 300.0, (200, 2))]
+    xs, ys = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
+    spec = NormSpec.lp(p)
+    for gauge in (spec, spec.dual):
+        q = gauge.params["p"]
+        assert gauge.value_many(xs, ys).tobytes() == _three_power_lp_many(q, xs, ys).tobytes(), q
+        for x, y in pairs:
+            assert gauge.value(x, y) == _three_power_lp(q, x, y), (gauge, x, y)
+
+
+@pytest.mark.parametrize("p", LP_EXPONENTS)
+def test_lp_gauge_of_a_point_with_one_infinite_coordinate_is_inf(p):
+    """The one point where the two-power gauge differs: the three-power form gave NaN."""
+    spec = NormSpec.lp(p)
+    points = [(math.inf, 0.0), (0.0, -math.inf), (-math.inf, 1e300), (2.5, math.inf)]
+    for x, y in points:
+        assert spec.value(x, y) == math.inf, (x, y)
+        assert math.isnan(_three_power_lp(p, x, y))
+    many = spec.value_many(np.array([x for x, _ in points]), np.array([y for _, y in points]))
+    assert np.all(many == math.inf)
+    # so such a point is refused as a unit point, as on euclid and quad, not let through
+    with pytest.raises(DomainError, match="has gauge inf"):
+        as_unit_point(spec, (math.inf, 0.0))
 
 
 DUAL_SPECS = [EUCLID, NormSpec.lp(1.1), NormSpec.lp(1.5), LP4, NormSpec.lp(16),
