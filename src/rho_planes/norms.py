@@ -354,8 +354,9 @@ def _symmetric_hull(points):
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 4:
         raise ConfigurationError("symmetrized vertices are collinear or degenerate")
+    on_hull = set(hull)  # a hull vertex lies on the boundary
     for pt in uniq:
-        if _dist_to_boundary(pt, hull) > 1e-9 * scale:
+        if pt not in on_hull and _dist_to_boundary(pt, hull) > 1e-9 * scale:
             raise ConfigurationError(
                 f"vertex {pt} lies strictly inside the symmetrized hull; not convex")
     start = min(range(len(hull)), key=lambda i: math.atan2(hull[i][1], hull[i][0]) % TWO_PI)

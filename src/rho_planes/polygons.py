@@ -15,8 +15,8 @@ from .chords import star_map
 from .norms import TWO_PI, NormSpec, UnitPoint, as_unit_point
 
 DEFAULT_MAX_STEPS = 2000
-# One star map per step, all held in memory: 100000 steps take about 4 s
-# and write about 7 MB of JSON.
+# At most one star map per step, all held in memory: 100000 steps that never
+# recur take about 4 s and write about 7 MB of JSON.
 MAX_STEPS = 100_000
 DEFAULT_CLOSE_TOL = 1e-8
 
@@ -62,6 +62,11 @@ def build_polygon(spec: NormSpec, u, rho: float, max_steps: int = DEFAULT_MAX_ST
     an almost-periodic orbit doubles its defect on the second lap, while a
     true closure stays at solver-noise level.
 
+    Once the map returns a theta it returned before, the walk replays the
+    cycle since then: each vertex after the seed is natural_param(theta),
+    and star_map is a pure function of it, so the replay is exact.  The
+    seed, whose coordinates need not be natural_param(theta), is left out.
+
     For a non-closing orbit the accumulation points are estimated from the
     final 20% of vertices.  These lie on S, a convex closed curve, so sorted
     by angle they come in curve order: one pass cuts them where neighbours
@@ -80,9 +85,15 @@ def build_polygon(spec: NormSpec, u, rho: float, max_steps: int = DEFAULT_MAX_ST
     turning = 0.0
     steps = 0
     candidate = None  # (n, turning at first lap, closure error)
+    seen = {}  # theta -> index of each vertex the map made
+    period = 0  # the cycle length, once a theta recurs
 
     while steps < max_steps:
-        nxt = star_map(spec, verts[-1], rho)
+        if period:
+            nxt = verts[-period]
+        else:
+            nxt = star_map(spec, verts[-1], rho)
+            period = len(verts) - seen.setdefault(nxt.theta, len(verts))
         steps += 1
         turning += (nxt.theta - verts[-1].theta) % TWO_PI
         err = math.hypot(nxt.x - seed.x, nxt.y - seed.y)

@@ -78,6 +78,8 @@ def illinois_root_many(f, a, b, fa, fb, guess=None) -> np.ndarray:
     shape = np.broadcast(a, b, fa, fb).shape
     a, b, fa, fb = (np.full(shape, v, dtype=float) for v in (a, b, fa, fb))
     out = np.empty_like(a)
+    if out.size == 0:
+        return out
     idx = np.arange(a.size)
     low = np.full(a.size, -1, dtype=np.int8)  # whether a moved last step; neither at first
     nudged = None  # (lo, hi): the ends nudged last step, None when none was

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from rho_planes import (NormSpec, NumericalError, as_unit_point, midpoint_check,
-                        natural_param)
+from rho_planes import (ConfigurationError, NormSpec, NumericalError, as_unit_point,
+                        midpoint_check, natural_param, polygons)
 from rho_planes.chords import ANTIPODAL_GUARD
 from rho_planes.lab import _AXIS_ANGLES
-from rho_planes.norms import TWO_PI, _line_min, unit_points
+from rho_planes.norms import TWO_PI, _dist_to_boundary, _line_min, unit_points
 from rho_planes.svg import _SCALE, CURVE_POINTS, VIEW_HALF
 
 EUCLID = NormSpec.euclidean()
@@ -360,3 +360,76 @@ def scaled_circle(spec, scale):
     thetas = np.linspace(0.0, 2.0 * math.pi, CURVE_POINTS, endpoint=False)
     x, y = unit_points(spec, thetas)
     return [(scale * float(a), scale * float(b)) for a, b in zip(x, y)]
+
+
+def plain_polygon(spec, u, rho, max_steps, close_tol=polygons.DEFAULT_CLOSE_TOL):
+    """`build_polygon` with one `star_map` call on every step.
+
+    The loop before a recurring vertex replayed its cycle; kept as the
+    oracle for that replay.
+    """
+    seed = as_unit_point(spec, u)
+    verts, turning, steps, candidate = [seed], 0.0, 0, None
+    while steps < max_steps:
+        nxt = polygons.star_map(spec, verts[-1], rho)
+        steps += 1
+        turning += (nxt.theta - verts[-1].theta) % TWO_PI
+        err = math.hypot(nxt.x - seed.x, nxt.y - seed.y)
+        if err <= close_tol and len(verts) >= 3:
+            if candidate is None:
+                candidate = (len(verts), turning, err)
+            elif len(verts) == 2 * candidate[0]:
+                n, lap_turning, lap_err = candidate
+                k = round(lap_turning / TWO_PI)
+                return polygons.RhoPolygon(rho, verts[:n], polygons.STATUS_CLOSED,
+                                           lap_turning, steps, n=n, k=k,
+                                           coprime=math.gcd(n, k) == 1,
+                                           closure_error=max(lap_err, err))
+        elif candidate is not None and len(verts) == 2 * candidate[0]:
+            candidate = None
+        verts.append(nxt)
+    tail = verts[int(0.8 * len(verts)):]
+    return polygons.RhoPolygon(rho, verts, polygons.STATUS_NON_CLOSING, turning, steps,
+                               accumulation_points=polygons._cluster(
+                                   tail, max(10.0 * close_tol, 1e-5)))
+
+
+def symmetric_hull_testing_every_point(points):
+    """`norms._symmetric_hull` with the boundary-distance test on every point.
+
+    O(n^2): hull vertices are tested too, although each lies on the
+    boundary.  Kept as the oracle for the parse that tests only the points
+    off the hull.
+    """
+    if not points:
+        raise ConfigurationError("polygon gauge needs at least one vertex")
+    sym = points + [(-x, -y) for x, y in points]
+    scale = max(max(abs(x), abs(y)) for x, y in sym)
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise ConfigurationError("polygon vertices must be finite and not all zero")
+    tol = 1e-12 * scale
+    uniq = []
+    for pt in sorted(sym):
+        if not uniq or abs(pt[0] - uniq[-1][0]) > tol or abs(pt[1] - uniq[-1][1]) > tol:
+            uniq.append(pt)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(pts):
+        out = []
+        for p in pts:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= tol * scale:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = half(uniq)[:-1] + half(list(reversed(uniq)))[:-1]
+    if len(hull) < 4:
+        raise ConfigurationError("symmetrized vertices are collinear or degenerate")
+    for pt in uniq:
+        if _dist_to_boundary(pt, hull) > 1e-9 * scale:
+            raise ConfigurationError(
+                f"vertex {pt} lies strictly inside the symmetrized hull; not convex")
+    start = min(range(len(hull)), key=lambda i: math.atan2(hull[i][1], hull[i][0]) % TWO_PI)
+    return hull[start:] + hull[:start]

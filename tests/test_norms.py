@@ -10,8 +10,11 @@ from rho_planes import (ConfigurationError, DomainError, NormSpec,
                         UnsupportedSpecError, as_unit_point, birkhoff_successor,
                         is_birkhoff_orthogonal, natural_param, unit_points, wedge)
 
+from rho_planes.norms import _symmetric_hull
+
 from conftest import (ALL_SPECS, DIAMOND, EUCLID, LP4, QUAD14, SMOOTH_SPECS,
-                      SQUARE, bisection_successor, grid_min_along, spec_ids)
+                      SQUARE, bisection_successor, grid_min_along, spec_ids,
+                      symmetric_hull_testing_every_point)
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,6 +77,46 @@ def test_polygon_symmetrization_and_order():
     verts = half.params["vertices"]
     for i in range(len(verts)):
         assert wedge(verts[i], verts[(i + 1) % len(verts)]) > 0  # counterclockwise
+
+
+def _hull_verdict(hull, points):
+    try:
+        return hull(points)
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+def _random_point_set(rng):
+    """Points on a circle, off it by rounding-sized steps, inside it, and near chords."""
+    scale = 10.0 ** int(rng.choice([0, 0, 0, -3, 5, -300, 300, 307, -310, -320]))
+    k = int(rng.integers(1, 10))
+    mode = rng.random()
+    if mode < 0.3:
+        radii = [1.0] * k
+    elif mode < 0.5:
+        radii = [1.0 + float(rng.choice([0.0, 1e-13, 1e-10, -1e-10, 1e-8])) for _ in range(k)]
+    else:
+        radii = [float(rng.random()) for _ in range(k)]
+    angles = [float(rng.uniform(0.0, TWO_PI)) for _ in range(k)]
+    points = [(scale * r * math.cos(a), scale * r * math.sin(a)) for r, a in zip(radii, angles)]
+    if mode > 0.8 and k >= 2:  # a point on, or next to, the chord of the first two
+        (x0, y0), (x1, y1) = points[:2]
+        nudge = scale * float(rng.choice([0.0, 1e-12, 1e-9, -1e-9, 1e-7]))
+        points.append(((x0 + x1) / 2 + nudge, (y0 + y1) / 2 + nudge))
+    if rng.random() < 0.1:
+        points.append([(0.0, 0.0), (-0.0, scale), (scale, -0.0)][int(rng.integers(3))])
+    return points
+
+
+def test_symmetric_hull_matches_testing_every_point(rng):
+    """Skipping the boundary test on hull vertices changes no verdict or message."""
+    kinds = set()
+    for _ in range(6000):
+        points = _random_point_set(rng)
+        verdict = _hull_verdict(symmetric_hull_testing_every_point, points)
+        assert _hull_verdict(_symmetric_hull, points) == verdict, points
+        kinds.add(verdict.split()[-1] if isinstance(verdict, str) else "accepted")
+    assert kinds >= {"accepted", "convex", "degenerate"}  # accepted, interior point, collinear
 
 
 def test_parse_roundtrip():

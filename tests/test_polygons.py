@@ -4,11 +4,12 @@ import math
 
 import pytest
 
-from rho_planes import (DomainError, build_polygon, natural_param,
+from rho_planes import (DomainError, NormSpec, build_polygon, natural_param, polygons,
                         polygon_to_dict, rho_from_kn, wedge)
 from rho_planes.polygons import DEFAULT_CLOSE_TOL, MAX_STEPS, _cluster
 
-from conftest import EUCLID, IPS_SPECS, SQUARE, single_linkage_clusters, spec_ids
+from conftest import (EUCLID, IPS_SPECS, QUAD213, SQUARE, plain_polygon,
+                      single_linkage_clusters, spec_ids)
 from test_chords import ORACLE_IDS, ORACLE_SPECS
 
 TWO_PI = 2.0 * math.pi
@@ -166,3 +167,76 @@ def test_polygon_serialization_shape():
     assert theta == pytest.approx(2 * math.pi / 3, abs=1e-9)
     assert (x, y) == (pytest.approx(-0.5, abs=1e-9),
                       pytest.approx(math.sqrt(3) / 2, abs=1e-9))
+
+
+LP1 = NormSpec.lp(1)
+LP37 = NormSpec.lp(3.7)
+HEXAGON = NormSpec.parse("poly:1,0;0.5,0.8;-0.4,0.9")
+PENTAGON_RHO = math.cos(math.pi / 5)
+
+# (spec, seed, rho, steps); a seed given as an angle is natural_param(spec, angle)
+RECURRING = [
+    (LP1, 0.3, PENTAGON_RHO, 900),
+    (LP1, (1.0, -0.0), PENTAGON_RHO, 900),
+    (LP1, (0.6, 0.4), PENTAGON_RHO, 900),
+    (SQUARE, 0.35, PENTAGON_RHO, 2000),
+    (SQUARE, (1.0, -0.0), 0.61, 900),
+    (LP37, 0.3, 0.612345, 1500),
+    (LP37, 0.3, math.sqrt(3) / 2, 1500),
+    (HEXAGON, (1.0, 0.0), PENTAGON_RHO, 900),
+]
+NON_RECURRING = [
+    (EUCLID, (1.0, 0.0), 0.612345, 900),
+    (EUCLID, (1.0, -0.0), 0.612345, 900),
+    (QUAD213, 0.3, 0.612345, 900),
+]
+CLOSING = [
+    (EUCLID, (1.0, 0.0), PENTAGON_RHO, 900),
+    (EUCLID, (1.0, -0.0), PENTAGON_RHO, 900),
+    (EUCLID, 0.3, PENTAGON_RHO, 900),
+]
+
+
+def _case_id(case):
+    spec, seed, rho, steps = case
+    return f"{spec.spec_id}-{seed}-{rho:.6g}-{steps}"
+
+
+@pytest.fixture
+def star_map_calls(monkeypatch):
+    """Counts the calls `build_polygon` makes to the star map."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return star_map(*args)
+
+    star_map = polygons.star_map
+    monkeypatch.setattr(polygons, "star_map", counted)
+    return calls
+
+
+def _seed(spec, seed):
+    return natural_param(spec, seed) if isinstance(seed, float) else seed
+
+
+@pytest.mark.parametrize("case", RECURRING + NON_RECURRING + CLOSING, ids=_case_id)
+def test_replayed_orbit_matches_one_star_map_per_step(case, star_map_calls):
+    """Replaying a recurring cycle changes no field of the orbit, bit for bit."""
+    spec, seed, rho, steps = case
+    poly = build_polygon(spec, _seed(spec, seed), rho, steps)
+    made = star_map_calls[0]
+    oracle = plain_polygon(spec, _seed(spec, seed), rho, steps)
+    assert star_map_calls[0] - made == oracle.steps
+    assert repr(polygon_to_dict(poly)) == repr(polygon_to_dict(oracle))  # tells -0.0 from 0.0
+    if case in RECURRING:
+        assert poly.status == "non_closing" and made < poly.steps
+    elif case in NON_RECURRING:
+        assert poly.status == "non_closing" and made == poly.steps == steps
+    else:
+        assert poly.status == "closed" and made < poly.steps
+
+
+def test_recurring_orbit_solves_only_until_its_first_repeat(star_map_calls):
+    poly = build_polygon(LP1, natural_param(LP1, 0.3), PENTAGON_RHO, 900)
+    assert poly.steps == 900 and star_map_calls[0] < 100

@@ -261,3 +261,22 @@ def test_guesses_cost_no_family_evaluations(monkeypatch, text):
     spec = NormSpec.parse(text)
     guessed = _star_map_evals(monkeypatch, spec, guessed=True).mean()
     assert guessed <= _star_map_evals(monkeypatch, spec, guessed=False).mean()
+
+
+def test_empty_brackets_return_at_once(monkeypatch):
+    """No seeds, no steps: the pairing function is never called."""
+    calls = []
+
+    def counting(f, *args, **kwargs):
+        def g(x, idx):
+            calls.append(x.size)
+            return f(x, idx)
+        return root(g, *args, **kwargs)
+
+    root = chords.illinois_root_many
+    monkeypatch.setattr(chords, "illinois_root_many", counting)
+    frame, ux, uy, vx, vy, errors = star_map_many(NormSpec.lp(3), [], 0.5)
+    assert calls == [] and errors == {}
+    assert [a.shape for a in (ux, uy, vx, vy)] == [(0,)] * 4
+    out = illinois_root_many(lambda x, idx: calls.append(x.size), [], [], [], [])
+    assert calls == [] and out.shape == (0,)

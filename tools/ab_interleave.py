@@ -9,10 +9,12 @@ seeded prefix of --requests requests runs through `perfbench.loop.execute`
 on both sides, alternating which side goes first on each request, so a
 slow or fast phase of the host falls on both alike.  Each side keeps its
 own `oracles.Memo`.  Prints each side's summed latency, requests/s, p50
-and failures, how many requests' exit code, stdout or written file
-differ between the sides, and the gain of A over B; the last line is one
-JSON object.  `RHO_PLANES_SEED` is set to 1, as for golden files, so no
-output carries a timestamp.  Nothing under `perfbench/` changes.
+and failures, how many requests' exit code, stdout, written file, library
+value (by repr) or raised error differ between the sides, the index and
+argv of the first that differs, and the gain of A over B; the last line
+is one JSON object, with `first_differ` null when no request differs.
+`RHO_PLANES_SEED` is set to 1, as for golden files, so no output carries
+a timestamp.  Nothing under `perfbench/` changes.
 """
 
 import argparse
@@ -49,6 +51,10 @@ def _summary(latencies, failures) -> dict:
             "failed": len(failures)}
 
 
+def _output(outcome) -> tuple:
+    return outcome.code, outcome.stdout, outcome.written, repr(outcome.value), outcome.error
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--other", required=True, help="root of the tree to compare against")
@@ -70,17 +76,19 @@ def main(argv=None) -> int:
         reqs = prepared[0][0]
         tallies = [loop.Tally(), loop.Tally()]
         memos = [oracles.Memo(), oracles.Memo()]
-        differ = 0
+        differ, first_differ = 0, None
         for index, req in enumerate(reqs):
             outcomes = [None, None]
             for s in ((0, 1) if index % 2 == 0 else (1, 0)):
                 seconds, outcomes[s] = loop.execute(sides[s], req, prepared[s][1])
                 tallies[s].record(index, req, seconds, outcomes[s], memos[s])
-            a, b = outcomes
-            differ += (a.code, a.stdout, a.written) != (b.code, b.stdout, b.written)
+            if _output(outcomes[0]) != _output(outcomes[1]):
+                differ += 1
+                if first_differ is None:
+                    first_differ = {"index": index, "kind": req.kind, "argv": list(req.argv)}
 
     result = {"workload": args.workload, "seed": args.seed, "requests": len(reqs),
-              "differ": differ}
+              "differ": differ, "first_differ": first_differ}
     for name, tally in zip(("a", "b"), tallies):
         result[name] = _summary(tally.latencies, tally.failures)
         print(f"{name}: {result[name]['seconds']:.4f} s summed, "
@@ -89,8 +97,11 @@ def main(argv=None) -> int:
         for line in tally.failures[:5]:
             print(f"  FAILED {line}", file=sys.stderr)
     result["gain"] = result["a"]["requests_per_s"] / result["b"]["requests_per_s"] - 1.0
-    print(f"{differ} of {len(reqs)} requests differ in exit code, stdout or file; "
+    print(f"{differ} of {len(reqs)} requests differ in exit code, stdout, file, value or error; "
           f"A over B: {100.0 * result['gain']:+.1f}% requests/s")
+    if first_differ is not None:
+        print(f"first differing request: {first_differ['index']} "
+              f"({' '.join(first_differ['argv']) or first_differ['kind']})")
     print(json.dumps(result), flush=True)
     return 0
 
