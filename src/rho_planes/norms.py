@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnsupportedSpecError
-from .solve1d import illinois_root
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,7 +27,7 @@ MAX_QUAD_EIGEN_RATIO = 1e12
 
 
 def _fmt_num(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    if abs(x) < 1e15 and x == int(x):
         return str(int(x))
     return repr(x)
 
@@ -65,12 +64,14 @@ class NormSpec:
     A spec is its gauge `value` (scalar, and `value_many` on numpy arrays)
     plus either its gradient, for the smooth and strictly convex families,
     or the facet normals of its polygonal unit ball; the one-sided slopes
-    and corner angles are derived from these here.  For the star map, a
-    smooth `euclid` or `lp` spec also carries its dual gauge, and a `quad`
-    spec the linear frame that makes it round.  Construct through the
-    factory classmethods or `parse`.  Instances are immutable and safe to
-    share across threads; every operation in the library is a pure
-    function of its arguments.
+    and corner angles are derived from these here.  Every spec carries its
+    dual gauge `dual`, itself a spec, whose `dual` is the spec again:
+    `euclid` is its own, `lp:p` has `lp:q`, `quad` the inverse form, and a
+    polygon (or `lp:1`) the polar polygon.  A `quad` spec is defined
+    through the linear frame that makes it round, which it also carries.
+    Construct through the factory classmethods or `parse`.  Instances are
+    immutable and safe to share across threads; every operation in the
+    library is a pure function of its arguments.
     """
 
     def __init__(self, kind, params, spec_id, value, value_many,
@@ -83,7 +84,7 @@ class NormSpec:
         self.grad = grad              # (x, y) -> gradient tuple, smooth only
         self.grad_many = grad_many    # the gradient on numpy arrays, smooth only
         self.normals = normals        # facet normals n_i with N = max_i <n_i, .>, polygonal only
-        self.dual = dual              # the dual gauge N*(n) = max_{N(x)<=1} <n, x>, smooth euclid/lp
+        self._dual = dual or self  # the dual spec, or a function that makes it on first use
         # (to_round, from_round): linear maps, on floats or arrays, taking the unit
         # circle to a round circle and back, up to positive factors; quad only
         self.round_frame = round_frame
@@ -96,6 +97,14 @@ class NormSpec:
         self.corner_angles = () if normals is None else tuple(
             math.atan2(ax - bx, by - ay) % TWO_PI
             for (ax, ay), (bx, by) in zip(normals[-1:] + normals[:-1], normals))
+
+    @property
+    def dual(self) -> "NormSpec":
+        """The dual gauge N*(n) = max_{N(x)<=1} <n, x>, a spec whose `dual` is this one."""
+        if callable(self._dual):  # made once, into an attribute __init__ set: a new one
+            self._dual = self._dual()  # would slow every attribute load on the spec
+            self._dual._dual = self
+        return self._dual
 
     def __repr__(self):
         return f"NormSpec({self.spec_id!r})"
@@ -123,9 +132,7 @@ class NormSpec:
             n = np.hypot(x, y)
             return x / n, y / n
 
-        spec = cls("euclid", {}, "euclid", math.hypot, np.hypot, grad, grad_many)
-        spec.dual = spec
-        return spec
+        return cls("euclid", {}, "euclid", math.hypot, np.hypot, grad, grad_many)
 
     @classmethod
     def quadratic(cls, a: float, b: float, c: float) -> "NormSpec":
@@ -150,43 +157,15 @@ class NormSpec:
                 f"above {MAX_QUAD_EIGEN_RATIO:g}: its axes differ by more than a factor "
                 "1e6, too thin a unit circle to resolve through angles")
 
-        # Q^(1/2) of the scaled form Q, in closed form: (Q + d*I)/sqrt(tr Q + 2d) with
-        # d = sqrt(det Q), and its inverse adj(Q + d*I)/(d*sqrt(tr Q + 2d)); the
-        # positive factors change no angle, so they are left out
+        # the scaled form Q = [[a, b/2], [b/2, c]]/s has Q^(1/2) = R/sqrt(tr Q + 2d), R = Q +
+        # d*I, d^2 = det Q: N(x) = k*|Rx|, k = sqrt(s/(ra + rc)).  The dual, the inverse
+        # form adj(Q)/(s*d^2), is |R^-1 n|/k with R^-1 = adj(R)/(d*(ra + rc))
         d = 0.5 * math.sqrt(det4)
         ra, rb, rc = a / s + d, 0.5 * b / s, c / s + d
-
-        def to_round(x, y):
-            return ra * x + rb * y, rb * x + rc * y
-
-        def from_round(x, y):
-            return rc * x - rb * y, ra * y - rb * x
-
-        def value(x, y):
-            ax, ay = abs(x), abs(y)
-            m = ax if ax > ay else ay
-            if m == 0.0:
-                return 0.0
-            x, y = x / m, y / m  # keeps squares away from under/overflow
-            return m * math.sqrt(a * x * x + b * x * y + c * y * y)
-
-        def grad(x, y):
-            n = value(x, y)
-            return (2.0 * a * x + b * y) / (2.0 * n), (b * x + 2.0 * c * y) / (2.0 * n)
-
-        def value_many(x, y):
-            m = np.maximum(np.abs(x), np.abs(y))
-            m = np.where(m == 0.0, 1.0, m)
-            x, y = x / m, y / m
-            return m * np.sqrt(a * x * x + b * x * y + c * y * y)
-
-        def grad_many(x, y):
-            n = value_many(x, y)
-            return (2.0 * a * x + b * y) / (2.0 * n), (b * x + 2.0 * c * y) / (2.0 * n)
-
-        spec_id = f"quad:{_fmt_num(a)},{_fmt_num(b)},{_fmt_num(c)}"
-        return cls("quad", {"a": a, "b": b, "c": c}, spec_id, value, value_many,
-                   grad, grad_many, round_frame=(to_round, from_round))
+        k = math.sqrt(s) / math.sqrt(ra + rc)  # s/(ra + rc) underflows for the least s
+        return _quad_spec(a, b, c, ra, rb, rc, k, lambda: _quad_spec(
+            c / s / d / d / s, -b / s / d / d / s, a / s / d / d / s,
+            rc, -rb, ra, 1.0 / (k * d * (ra + rc))))
 
     @classmethod
     def lp(cls, p: float) -> "NormSpec":
@@ -197,20 +176,17 @@ class NormSpec:
         if p == 1.0:
             # the diamond is a polygonal gauge: max of four facet functionals
             return cls("lp", {"p": p}, spec_id, *_facet_gauge(_DIAMOND_NORMALS),
-                       normals=_DIAMOND_NORMALS)
+                       normals=_DIAMOND_NORMALS, dual=lambda: _polar(_DIAMOND, _DIAMOND_NORMALS))
         # the dual of lp:p is lp:q, q = p/(p - 1); its gradient exponent q - 1 is
         # 1/(p - 1) even where q rounds to 1, so the dual stays smooth
-        dual = cls("lp", {"p": p / (p - 1.0)}, f"lp:{_fmt_num(p / (p - 1.0))}",
-                   *_lp_gauge(p / (p - 1.0), 1.0 / (p - 1.0)))
-        return cls("lp", {"p": p}, spec_id, *_lp_gauge(p, p - 1.0), dual=dual)
+        q = p / (p - 1.0)
+        return cls("lp", {"p": p}, spec_id, *_lp_gauge(p, p - 1.0), dual=lambda: cls(
+            "lp", {"p": q}, f"lp:{_fmt_num(q)}", *_lp_gauge(q, 1.0 / (p - 1.0))))
 
     @classmethod
     def polygon(cls, vertices) -> "NormSpec":
         verts = _symmetric_hull([(float(x), float(y)) for x, y in vertices])
-        normals = _edge_normals(verts)
-        spec_id = "poly:" + ";".join(f"{_fmt_num(x)},{_fmt_num(y)}" for x, y in verts)
-        return cls("poly", {"vertices": verts}, spec_id, *_facet_gauge(normals),
-                   normals=normals)
+        return _polygon(verts, _edge_normals(verts))
 
     @classmethod
     def parse(cls, text: str) -> "NormSpec":
@@ -246,7 +222,51 @@ class NormSpec:
         raise ConfigurationError(f"unrecognized norm spec {text!r}")
 
 
+_DIAMOND = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 _DIAMOND_NORMALS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+
+
+def _quad_spec(a, b, c, ra, rb, rc, k, dual=None):
+    """The gauge of ax^2+bxy+cy^2 as k*|Rx|, with grad k*R(Rx)/|Rx|.
+
+    R = [[ra, rb], [rb, rc]] is the round frame and adj(R) maps back.  The
+    gauge divides x by max(|x|, |y|) first, so |Rx|^2 neither overflows nor
+    underflows, and a square root of a sum of squares rounds alike in
+    `math` and numpy: the scalar and array gauges agree bit for bit.
+    """
+    def to_round(x, y):
+        return ra * x + rb * y, rb * x + rc * y
+
+    def from_round(x, y):
+        return rc * x - rb * y, ra * y - rb * x
+
+    def value(x, y):
+        ax, ay = abs(x), abs(y)
+        m = ax if ax > ay else ay
+        if m == 0.0:
+            return 0.0
+        rx, ry = to_round(x / m, y / m)
+        return m * (k * math.sqrt(rx * rx + ry * ry))
+
+    def grad(x, y):
+        rx, ry = to_round(x, y)
+        h = k / math.hypot(rx, ry)
+        return h * (ra * rx + rb * ry), h * (rb * rx + rc * ry)
+
+    def value_many(x, y):
+        m = np.maximum(np.abs(x), np.abs(y))
+        m = np.where(m == 0.0, 1.0, m)
+        rx, ry = to_round(x / m, y / m)
+        return m * (k * np.sqrt(rx * rx + ry * ry))
+
+    def grad_many(x, y):
+        rx, ry = to_round(x, y)
+        h = k / np.hypot(rx, ry)
+        return h * (ra * rx + rb * ry), h * (rb * rx + rc * ry)
+
+    spec_id = f"quad:{_fmt_num(a)},{_fmt_num(b)},{_fmt_num(c)}"
+    return NormSpec("quad", {"a": a, "b": b, "c": c}, spec_id, value, value_many,
+                    grad, grad_many, dual=dual, round_frame=(to_round, from_round))
 
 
 def _lp_gauge(p, r):
@@ -320,6 +340,21 @@ def _facet_gauge(normals):
     return value, value_many
 
 
+def _polygon(verts, normals):
+    """The gauge max_i <n_i, .> of the polygon with these vertices and facet normals."""
+    spec_id = "poly:" + ";".join(f"{_fmt_num(x)},{_fmt_num(y)}" for x, y in verts)
+    return NormSpec("poly", {"vertices": verts}, spec_id, *_facet_gauge(normals),
+                    normals=normals, dual=lambda: _polar(verts, normals))
+
+
+def _polar(verts, normals):
+    """The polar {n : max_i <n, v_i> <= 1} of the polygon with vertices v_i and facet
+    normals n_i, the dual gauge: its facet normals are the v_i and its vertices the
+    n_i, listed from the least angle, as `_symmetric_hull` does, so corners ascend."""
+    s = min(range(len(normals)), key=lambda i: math.atan2(normals[i][1], normals[i][0]) % TWO_PI)
+    return _polygon(normals[s:] + normals[:s], verts[s + 1:] + verts[:s + 1])
+
+
 def _symmetric_hull(points):
     """Closure under v -> -v, then the (strictly) convex hull, CCW.
 
@@ -330,7 +365,7 @@ def _symmetric_hull(points):
         raise ConfigurationError("polygon gauge needs at least one vertex")
     sym = points + [(-x, -y) for x, y in points]
     scale = max(max(abs(x), abs(y)) for x, y in sym)
-    if not (scale > 0.0 and math.isfinite(scale)):
+    if not (scale > 0.0 and all(math.isfinite(x) and math.isfinite(y) for x, y in points)):
         raise ConfigurationError("polygon vertices must be finite and not all zero")
     tol = 1e-12 * scale
     uniq = []
@@ -434,65 +469,16 @@ def is_birkhoff_orthogonal(spec: NormSpec, u, v) -> bool:
     """Birkhoff orthogonality u _|_ v: no multiple of v pulls u closer to 0.
 
     The defect ||u|| - min ||u + lambda*v|| is compared against ORTHO_TOL.
-    The segment |lambda| <= r = 2||u||/||v|| always contains the global
-    minimizer, so the defect is one line minimum over [u - r*v, u + r*v].
+    The minimum, the distance from 0 to the line u + R*v, is |wedge(v, u)|/
+    N*(Jv), J the quarter turn and N* the dual gauge (Thompson 1996).
     """
     ux, uy = _xy(u)
     vx, vy = _xy(v)
     nu = spec.value(ux, uy)
-    nv = spec.value(vx, vy)
+    nv = spec.dual.value(-vy, vx)
     if nu == 0.0 or nv == 0.0:
         raise DomainError("Birkhoff orthogonality needs nonzero vectors")
-    r = 2.0 * nu / nv
-    return nu - _line_min(spec, ux - r * vx, uy - r * vy, 2.0 * r * vx, 2.0 * r * vy) <= ORTHO_TOL
-
-
-def _line_min(spec: NormSpec, ux, uy, dx, dy) -> float:
-    """Minimum of t -> N(u + t*d) over [0, 1].
-
-    Smooth gauges here are strictly convex, so the minimizer is the one
-    root of the slope D+(t).  Polygonal gauges are minimized exactly as an
-    upper envelope of facet functionals.
-    """
-    if spec.normals is not None:
-        return _envelope_min(spec.normals, ux, uy, dx, dy)
-    dplus = spec.dplus
-
-    def slope(t):
-        return dplus(ux + t * dx, uy + t * dy, dx, dy)
-
-    s0 = slope(0.0)
-    if s0 >= 0.0:
-        t = 0.0
-    else:
-        s1 = slope(1.0)
-        t = 1.0 if s1 <= 0.0 else illinois_root(slope, 0.0, 1.0, s0, s1)
-    return spec.value(ux + t * dx, uy + t * dy)
-
-
-def _envelope_min(normals, ux, uy, dx, dy):
-    """Exact minimum of t -> max_i <n_i, u + t*d> on [0, 1].
-
-    The restriction of a polygonal gauge to a segment is an upper envelope
-    of affine functions, so its minimum sits on a pairwise line
-    intersection (or a segment end); no iteration needed.
-    """
-    lines = [(nx * ux + ny * uy, nx * dx + ny * dy) for nx, ny in normals]
-
-    def envelope(t):
-        return max(al + be * t for al, be in lines)
-
-    cands = [0.0, 1.0]
-    m = len(lines)
-    for i in range(m):
-        ai, bi = lines[i]
-        for j in range(i + 1, m):
-            aj, bj = lines[j]
-            if bi != bj:
-                t = (aj - ai) / (bi - bj)
-                if 0.0 < t < 1.0:
-                    cands.append(t)
-    return min(envelope(t) for t in cands)
+    return nu - abs(vx * uy - vy * ux) / nv <= ORTHO_TOL
 
 
 def _require_smooth(spec: NormSpec):

@@ -71,8 +71,9 @@ def build_polygon(spec: NormSpec, u, rho: float, max_steps: int = DEFAULT_MAX_ST
     final 20% of vertices.  These lie on S, a convex closed curve, so sorted
     by angle they come in curve order: one pass cuts them where neighbours
     are more than the radius apart, joins the last run to the first across
-    theta = 0, and returns each run's centroid (summed in walk order).  The
-    radius, max(10*close_tol, 1e-5), must exceed the spacing of consecutive
+    theta = 0, and returns each run's centroid (summed in walk order), scaled
+    onto S if the run has more than one point: an arc averages to inside S.
+    The radius, max(10*close_tol, 1e-5), must exceed the spacing of consecutive
     returns, which for orbits attracted to a gauge corner shrinks only
     algebraically; 1e-5 covers the slowest tails seen at the default budget.
     """
@@ -111,13 +112,13 @@ def build_polygon(spec: NormSpec, u, rho: float, max_steps: int = DEFAULT_MAX_ST
         verts.append(nxt)
 
     tail = verts[int(0.8 * len(verts)):]
-    clusters = _cluster(tail, max(10.0 * close_tol, 1e-5))
+    clusters = _cluster(spec, tail, max(10.0 * close_tol, 1e-5))
     return RhoPolygon(rho, verts, STATUS_NON_CLOSING, turning, steps,
                       accumulation_points=clusters)
 
 
-def _cluster(points: list[UnitPoint], radius: float) -> list[tuple[float, float]]:
-    """Centroids, by angle, of the runs of angle-neighbours within radius."""
+def _cluster(spec: NormSpec, points: list[UnitPoint], radius: float) -> list[tuple[float, float]]:
+    """Centroids on S, by angle, of the runs of angle-neighbours within radius."""
     order = sorted(range(len(points)), key=lambda i: points[i].theta)
     label = [0] * len(points)
     for prev, i in zip(order, order[1:]):
@@ -128,7 +129,13 @@ def _cluster(points: list[UnitPoint], radius: float) -> list[tuple[float, float]
     groups: list[list[UnitPoint]] = [[] for _ in range(count)]
     for p, g in zip(points, label):
         groups[g % count].append(p)
-    centroids = [(sum(q.x for q in c) / len(c), sum(q.y for q in c) / len(c)) for c in groups]
+    centroids = []
+    for c in groups:
+        x, y = sum(q.x for q in c) / len(c), sum(q.y for q in c) / len(c)
+        if len(c) > 1:
+            n = spec.value(x, y)
+            x, y = x / n, y / n
+        centroids.append((x, y))
     centroids.sort(key=lambda q: math.atan2(q[1], q[0]) % TWO_PI)
     return centroids
 

@@ -9,7 +9,8 @@ from rho_planes import (ConfigurationError, NormSpec, NumericalError, as_unit_po
                         midpoint_check, natural_param, polygons)
 from rho_planes.chords import ANTIPODAL_GUARD
 from rho_planes.lab import _AXIS_ANGLES
-from rho_planes.norms import TWO_PI, _dist_to_boundary, _line_min, unit_points
+from rho_planes.norms import ORTHO_TOL, TWO_PI, _dist_to_boundary, unit_points
+from rho_planes.solve1d import illinois_root
 from rho_planes.svg import _SCALE, CURVE_POINTS, VIEW_HALF
 
 EUCLID = NormSpec.euclidean()
@@ -19,6 +20,7 @@ LP4 = NormSpec.lp(4)
 LP15 = NormSpec.lp(1.5)
 SQUARE = NormSpec.polygon([(1, 1), (-1, 1), (-1, -1), (1, -1)])
 DIAMOND = NormSpec.polygon([(1, 0), (0, 1)])
+SKEWED_HEXAGON = NormSpec.parse("poly:1,0;0.5,0.8;-0.4,0.9")
 
 SMOOTH_SPECS = [EUCLID, QUAD14, QUAD213, LP4, LP15]
 IPS_SPECS = [EUCLID, QUAD14, QUAD213]
@@ -45,7 +47,8 @@ def golden_min(f, a, b, width=1e-12):
 
     Shrinks the bracket to `width`, then applies a guarded three-point
     parabolic refinement.  Returns (argmin, min value).  Derivative-free,
-    kept as the oracle for the exact line minimum `rho_planes.norms._line_min`.
+    kept as the oracle for `line_min` and the closed-form line distance of
+    `rho_planes.is_birkhoff_orthogonal`.
     """
     if not b > a:
         raise ValueError("empty bracket")
@@ -88,6 +91,69 @@ def golden_min(f, a, b, width=1e-12):
             if fv < best_f:
                 best_x, best_f = xv, fv
     return best_x, best_f
+
+
+def envelope_min(normals, ux, uy, dx, dy):
+    """Exact minimum of t -> max_i <n_i, u + t*d> on [0, 1].
+
+    The restriction of a polygonal gauge to a segment is an upper envelope
+    of affine functions, so its minimum sits on a pairwise line
+    intersection (or a segment end); no iteration needed.  O(m^2) in the
+    facet count.
+    """
+    lines = [(nx * ux + ny * uy, nx * dx + ny * dy) for nx, ny in normals]
+
+    def envelope(t):
+        return max(al + be * t for al, be in lines)
+
+    cands = [0.0, 1.0]
+    m = len(lines)
+    for i in range(m):
+        ai, bi = lines[i]
+        for j in range(i + 1, m):
+            aj, bj = lines[j]
+            if bi != bj:
+                t = (aj - ai) / (bi - bj)
+                if 0.0 < t < 1.0:
+                    cands.append(t)
+    return min(envelope(t) for t in cands)
+
+
+def line_min(spec, ux, uy, dx, dy):
+    """Minimum of t -> N(u + t*d) over [0, 1].
+
+    Smooth gauges here are strictly convex, so the minimizer is the one
+    root of the slope D+(t).  Polygonal gauges take `envelope_min`.  Kept,
+    through `line_min_orthogonal`, as the oracle for the closed-form line
+    distance of `rho_planes.is_birkhoff_orthogonal`.
+    """
+    if spec.normals is not None:
+        return envelope_min(spec.normals, ux, uy, dx, dy)
+    dplus = spec.dplus
+
+    def slope(t):
+        return dplus(ux + t * dx, uy + t * dy, dx, dy)
+
+    s0 = slope(0.0)
+    if s0 >= 0.0:
+        t = 0.0
+    else:
+        s1 = slope(1.0)
+        t = 1.0 if s1 <= 0.0 else illinois_root(slope, 0.0, 1.0, s0, s1)
+    return spec.value(ux + t * dx, uy + t * dy)
+
+
+def line_min_orthogonal(spec, u, v):
+    """Birkhoff orthogonality by one `line_min` over [u - r*v, u + r*v], r = 2||u||/||v||.
+
+    That segment always holds the global minimizer.  Kept as the oracle for
+    the closed form in `rho_planes.is_birkhoff_orthogonal`.
+    """
+    ux, uy = u
+    vx, vy = v
+    nu = spec.value(ux, uy)
+    r = 2.0 * nu / spec.value(vx, vy)
+    return nu - line_min(spec, ux - r * vx, uy - r * vy, 2.0 * r * vx, 2.0 * r * vy) <= ORTHO_TOL
 
 
 def bisect_predicate(pred, lo, hi, max_iters=80):
@@ -170,7 +236,7 @@ def _chord_supports_at_least(spec, ux, uy, vx, vy, rho):
     dx, dy = vx - ux, vy - uy
     value = spec.value
     if spec.normals is not None:
-        return _line_min(spec, ux, uy, dx, dy) >= rho
+        return envelope_min(spec.normals, ux, uy, dx, dy) >= rho
     dplus = spec.dplus
     d0 = dplus(ux, uy, dx, dy)
     if d0 >= 0.0:
@@ -263,8 +329,9 @@ def max_poly_tangent_exit(normals, ux, uy, rho):
     return px, py, t
 
 
-def single_linkage_clusters(points, radius):
-    """Fixed-radius single-linkage pass; returns cluster centroids by angle.
+def single_linkage_clusters(spec, points, radius):
+    """Fixed-radius single-linkage pass; returns cluster centroids by angle, each
+    of more than one point scaled onto the unit circle of spec.
 
     Cost is points x clusters.  Kept as the oracle for the one-pass run
     grouping of `rho_planes.polygons._cluster`.
@@ -285,6 +352,9 @@ def single_linkage_clusters(points, radius):
     for c in clusters:
         cx = sum(q.x for q in c) / len(c)
         cy = sum(q.y for q in c) / len(c)
+        if len(c) > 1:
+            n = spec.value(cx, cy)
+            cx, cy = cx / n, cy / n
         centroids.append((cx, cy))
     centroids.sort(key=lambda q: math.atan2(q[1], q[0]) % TWO_PI)
     return centroids
@@ -391,7 +461,7 @@ def plain_polygon(spec, u, rho, max_steps, close_tol=polygons.DEFAULT_CLOSE_TOL)
     tail = verts[int(0.8 * len(verts)):]
     return polygons.RhoPolygon(rho, verts, polygons.STATUS_NON_CLOSING, turning, steps,
                                accumulation_points=polygons._cluster(
-                                   tail, max(10.0 * close_tol, 1e-5)))
+                                   spec, tail, max(10.0 * close_tol, 1e-5)))
 
 
 def symmetric_hull_testing_every_point(points):
@@ -405,7 +475,7 @@ def symmetric_hull_testing_every_point(points):
         raise ConfigurationError("polygon gauge needs at least one vertex")
     sym = points + [(-x, -y) for x, y in points]
     scale = max(max(abs(x), abs(y)) for x, y in sym)
-    if not (scale > 0.0 and math.isfinite(scale)):
+    if not (scale > 0.0 and all(math.isfinite(x) and math.isfinite(y) for x, y in points)):
         raise ConfigurationError("polygon vertices must be finite and not all zero")
     tol = 1e-12 * scale
     uniq = []

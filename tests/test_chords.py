@@ -12,20 +12,20 @@ from rho_planes import (DomainError, NormSpec, NumericalError, chord_frame,
 
 from rho_planes import chords
 from rho_planes.chords import _poly_tangent_exit, _poly_tangent_exit_many, star_map_many
-from rho_planes.norms import _line_min, _xy, unit_points
+from rho_planes.norms import _xy, unit_points
 
-from conftest import (EUCLID, IPS_SPECS, LP4, LP15, QUAD14, QUAD213, SQUARE,
-                      bisection_star_map, golden_min, grid_chord_min,
+from conftest import (EUCLID, IPS_SPECS, LP4, LP15, QUAD14, QUAD213, SKEWED_HEXAGON, SQUARE,
+                      bisection_star_map, envelope_min, golden_min, grid_chord_min, line_min,
                       max_poly_tangent_exit, quad_star_oracle, spec_ids)
 
 TWO_PI = 2.0 * math.pi
 
 
 def _chord_min(spec, u, v):
-    """The minimum gauge value on the chord [u, v], by `norms._line_min`."""
+    """The minimum gauge value on the chord [u, v], by the `line_min` oracle."""
     ux, uy = _xy(u)
     vx, vy = _xy(v)
-    return _line_min(spec, ux, uy, vx - ux, vy - uy)
+    return line_min(spec, ux, uy, vx - ux, vy - uy)
 
 
 def test_chord_min_euclid_quarter():
@@ -397,23 +397,88 @@ SMOOTH_ORACLE = [(s, i) for s, i in zip(ORACLE_SPECS, ORACLE_IDS) if s.smooth]
 POLY_ORACLE = [(s, i) for s, i in zip(ORACLE_SPECS, ORACLE_IDS) if not s.smooth]
 
 
+def _line_distance(spec, ux, uy, dx, dy):
+    """Distance from 0 to the line u + R*d in closed form, |wedge(d, u)|/N*(Jd), as
+    `is_birkhoff_orthogonal` takes it."""
+    return abs(dx * uy - dy * ux) / spec.dual.value(-dy, dx)
+
+
+def _covering_segment(spec, ux, uy, dx, dy):
+    """[u - r*d, u + r*d] with r = 2||u||/||d||, which holds the line's nearest point."""
+    r = 2.0 * spec.value(ux, uy) / spec.value(dx, dy)
+    return ux - r * dx, uy - r * dy, 2.0 * r * dx, 2.0 * r * dy
+
+
 @pytest.mark.parametrize("spec", [s for s, _ in SMOOTH_ORACLE], ids=[i for _, i in SMOOTH_ORACLE])
 def test_line_min_matches_golden_section_oracle(spec, rng):
     for ux, uy, dx, dy in _random_segments(spec, rng, 20):
         if math.hypot(dx, dy) < 1e-6:
             continue
-        value = _line_min(spec, ux, uy, dx, dy)
-        _, want = golden_min(lambda t: spec.value(ux + t * dx, uy + t * dy), 0.0, 1.0)
+        value = _line_distance(spec, ux, uy, dx, dy)
+        ax, ay, ex, ey = _covering_segment(spec, ux, uy, dx, dy)
+        # on a covering segment a few units long the default width leaves golden_min
+        # about 1e-14 above the minimum of lp:1.1, whose rise there is |t - t*|^1.1
+        _, want = golden_min(lambda t: spec.value(ax + t * ex, ay + t * ey), 0.0, 1.0, 1e-15)
         assert abs(value - want) <= 1e-14, (ux, uy, dx, dy)
 
 
 @pytest.mark.parametrize("spec", [s for s, _ in POLY_ORACLE], ids=[i for _, i in POLY_ORACLE])
 def test_line_min_matches_grid_oracle_on_polygons(spec, rng):
+    """The closed form against the exact envelope minimum on a covering segment, and
+    the chord's dense grid above it (the line can dip below the chord).
+
+    The envelope's crossing parameters round on a segment a few units long,
+    so it agrees to a few ulps of the value, not one.
+    """
     for ux, uy, dx, dy in _random_segments(spec, rng, 10):
-        value = _line_min(spec, ux, uy, dx, dy)
+        value = _line_distance(spec, ux, uy, dx, dy)
+        segment = _covering_segment(spec, ux, uy, dx, dy)
+        assert value == pytest.approx(envelope_min(spec.normals, *segment), rel=1e-14)
         want, _ = grid_chord_min(spec, (ux, uy), (ux + dx, uy + dy))
         assert value <= want + 1e-12
-        assert value == pytest.approx(want, abs=1e-5)
+
+
+def _polar_orbit(spec, theta, rho, steps):
+    """r_k = rho*n_k/h_k along the orbit u_k from s(theta): n_k is the outward normal
+    of the chord [u_k, u_(k+1)] and h_k = <n_k, u_k> its level, so r_k is the pole
+    of the chord's line, scaled by rho."""
+    orbit = [natural_param(spec, theta)]
+    for _ in range(steps):
+        orbit.append(star_map(spec, orbit[-1], rho))
+    poles = []
+    for a, b in zip(orbit, orbit[1:]):
+        nx, ny = b.y - a.y, a.x - b.x
+        h = nx * a.x + ny * a.y
+        poles.append((rho * nx / h, rho * ny / h))
+    return poles
+
+
+POLAR_CASES = [(NormSpec.lp(3), 0.7), (LP4, math.cos(math.pi / 5)), (NormSpec.lp(16), 0.95),
+               (SKEWED_HEXAGON, 0.6), (NormSpec.lp(1), 0.55), (QUAD213, 0.6), (QUAD14, 0.7)]
+
+
+@pytest.mark.parametrize("spec,rho", POLAR_CASES, ids=[s.spec_id for s, _ in POLAR_CASES])
+def test_dual_star_map_sends_each_chord_pole_to_the_next(spec, rho):
+    """Polarity (Thompson 1996): the chord [u_k, u_(k+1)] supports rho*S, so its
+    pole r_k lies on the dual circle, and the dual norm's star map at the same rho
+    sends r_k to r_(k+1).  Each side runs other code: the flats of lp:p against the
+    cusps of lp:q, a polygon against its polar with other facets, lp:1 against the
+    square, a form against its inverse; both the scalar and the array map."""
+    dual = spec.dual
+    for theta in (0.3, 1.1, 2.9, 5.0):
+        poles = _polar_orbit(spec, theta, rho, 40)
+        for r, nxt in zip(poles, poles[1:]):
+            assert abs(dual.value(*r) - 1.0) <= 2e-15, r
+            assert math.dist(star_map(dual, r, rho).coords, nxt) <= 8e-15, r
+        rx, ry = np.array(poles).T
+        _, _, _, vx, vy, errors = star_map_many(
+            dual, np.mod(np.arctan2(ry[:-1], rx[:-1]), TWO_PI), rho)
+        assert errors == {}
+        if dual.round_frame is not None:  # the array map answers in the round frame
+            rx, ry = dual.round_frame[0](rx, ry)
+            norm = np.hypot(rx, ry)
+            rx, ry = rx / norm, ry / norm
+        assert np.max(np.hypot(vx - rx[1:], vy - ry[1:])) <= 8e-15
 
 
 @pytest.mark.parametrize("spec", [EUCLID, QUAD14, LP4, SQUARE],

@@ -12,9 +12,9 @@ from rho_planes import (ConfigurationError, DomainError, NormSpec,
 
 from rho_planes.norms import _symmetric_hull
 
-from conftest import (ALL_SPECS, DIAMOND, EUCLID, LP4, QUAD14, SMOOTH_SPECS,
-                      SQUARE, bisection_successor, grid_min_along, spec_ids,
-                      symmetric_hull_testing_every_point)
+from conftest import (ALL_SPECS, DIAMOND, EUCLID, LP4, QUAD14, QUAD213, SKEWED_HEXAGON,
+                      SMOOTH_SPECS, SQUARE, bisection_successor, grid_min_along,
+                      line_min_orthogonal, spec_ids, symmetric_hull_testing_every_point)
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,6 +44,15 @@ def test_invalid_specs_rejected():
         NormSpec.polygon([(1, 1), (-1, -1)])  # collinear after symmetrization
     with pytest.raises(ConfigurationError):
         NormSpec.polygon([(1, 0), (0, 1), (0.25, 0.25)])  # interior point
+
+
+@pytest.mark.parametrize("text", ["poly:1,0;0,1;1,nan", "poly:nan,1;1,0;0,1",
+                                  "poly:1,0;-nan,0.7;0,1", "poly:1,0;0,1;inf,1"])
+def test_polygon_with_a_non_finite_vertex_is_rejected(text):
+    """Each vertex is checked: otherwise the hull may drop a NaN, or let it past the
+    scale test."""
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        NormSpec.parse(text)
 
 
 @pytest.mark.parametrize("abc", [(4e307, 1e307, 1e307), (1e-300, 0, 1e-300),
@@ -230,23 +239,79 @@ def test_lp_gauge_of_a_point_with_one_infinite_coordinate_is_inf(p):
         as_unit_point(spec, (math.inf, 0.0))
 
 
+POLY14 = NormSpec.polygon([(1.3 * math.cos(a), math.sin(a))
+                           for a in (k * math.pi / 7 + 0.05 * (k % 3) for k in range(7))])
 DUAL_SPECS = [EUCLID, NormSpec.lp(1.1), NormSpec.lp(1.5), LP4, NormSpec.lp(16),
-              NormSpec.lp(1e300)]
+              NormSpec.lp(1e300), QUAD14, QUAD213, NormSpec.parse("quad:1,0,1e-12"),
+              NormSpec.lp(1), SQUARE, SKEWED_HEXAGON, POLY14]
 
 
 @pytest.mark.parametrize("spec", DUAL_SPECS, ids=spec_ids(DUAL_SPECS))
 def test_dual_gauge_is_the_support_function_of_the_unit_ball(spec, rng):
-    """N*(n) = max <n, x> over the unit circle, and grad N*(n) is the x that attains it."""
-    x, y = unit_points(spec, np.linspace(0.0, TWO_PI, 200001))
+    """N*(n) = max <n, x> over the unit circle, the dual's dual is the spec, and on
+    a smooth gauge grad N*(n) is the x that attains it.
+
+    The samples are an angle grid, the corners, and on a smooth gauge the unit
+    point along grad N*(n): on the thin ellipse the grid misses the maximum.
+    """
+    x, y = unit_points(spec, np.concatenate([np.linspace(0.0, TWO_PI, 200001),
+                                             spec.corner_angles]))
     dual = spec.dual
-    assert dual.smooth and dual.normals is None  # lp:1e300 has q = 1.0, yet no facets
+    assert dual.dual is spec and spec.dual is dual
+    # lp:1e300 has q = 1.0, yet no facets; a polar polygon's corner angles ascend
+    assert dual.smooth == spec.smooth and (dual.normals is None) == spec.smooth
+    assert list(dual.corner_angles) == sorted(dual.corner_angles)
     for a in rng.uniform(0.0, TWO_PI, 40):
         nx, ny = math.cos(a), math.sin(a)
-        sampled = float(np.max(nx * x + ny * y))  # a lower bound: the grid misses corners
+        sampled = float(np.max(nx * x + ny * y))
+        if dual.smooth:
+            gx, gy = dual.grad(nx, ny)
+            assert spec.value(gx, gy) == pytest.approx(1.0, abs=1e-12)
+            assert nx * gx + ny * gy == pytest.approx(dual.value(nx, ny), rel=1e-12)
+            top = natural_param(spec, math.atan2(gy, gx))
+            sampled = max(sampled, nx * top.x + ny * top.y)
         assert sampled * (1.0 - 1e-15) <= dual.value(nx, ny) <= sampled * (1.0 + 1e-6)
-        gx, gy = dual.grad(nx, ny)
-        assert spec.value(gx, gy) == pytest.approx(1.0, abs=1e-12)
-        assert nx * gx + ny * gy == pytest.approx(dual.value(nx, ny), rel=1e-12)
+
+
+def _coefficient_quad_gauge(spec, x, y):
+    """m*sqrt(a*x^2 + b*x*y + c*y^2) on (x, y)/m, m = max(|x|, |y|): the quadratic
+    gauge from its coefficients, the oracle for where the frame's gauge is finite."""
+    a, b, c = (spec.params[k] for k in "abc")
+    m = max(abs(x), abs(y))
+    if m == 0.0:
+        return 0.0
+    x, y = x / m, y / m
+    return m * math.sqrt(a * x * x + b * x * y + c * y * y)
+
+
+@pytest.mark.parametrize("text,agree", [
+    ("quad:2,1,3", True), ("quad:1,0,1e-12", True), ("quad:4e307,1e307,1e307", True),
+    ("quad:1e-300,0,1e-300", True), ("quad:5e-324,0,5e-324", False),
+    ("quad:1e-310,1e-311,3e-310", False),
+    ("quad:5.009715384073066,-10.936170163574989,5.968393896914864", False)])
+def test_quad_gauge_is_finite_and_nonzero_where_the_coefficient_gauge_is(text, agree, rng):
+    """Through the frame the gauge scales by max(|x|, |y|) first, as the coefficient
+    gauge did, so points from 1e-300 to the largest float keep a finite, nonzero
+    value, scalar and on arrays.  The two agree to rounding where the form is far
+    from singular and its coefficients are normal floats; on subnormal ones the
+    coefficient gauge is the less accurate (0.26 relative at 5e-324, against
+    2e-16 through the frame, by a 200-bit reference)."""
+    spec = NormSpec.parse(text)
+    # the inverse form's coefficients overflow on the least forms; its gauge does not
+    assert spec.dual.dual is spec and 0.0 < spec.dual.value(0.6, -0.8) < math.inf
+    for scale in (5e-324, 1e-300, 1.0, 1e300, 1e305, 1e307, 1e308, 1.7e308):
+        thetas = np.concatenate([rng.uniform(0.0, TWO_PI, 100), np.arange(8) * math.pi / 4])
+        xs, ys = scale * np.cos(thetas), scale * np.sin(thetas)
+        with np.errstate(over="ignore"):
+            many = spec.value_many(xs, ys)
+        for x, y, got_many in zip(xs.tolist(), ys.tolist(), many.tolist()):
+            want, got = _coefficient_quad_gauge(spec, x, y), spec.value(x, y)
+            if math.isfinite(want):
+                assert math.isfinite(got) and math.isfinite(got_many), (x, y)
+            if want > 0.0:
+                assert got > 0.0 and got_many > 0.0, (x, y)
+            if 1e-290 < want < math.inf and agree:
+                assert got == pytest.approx(want, rel=1e-14) and got_many == got, (x, y)
 
 
 @pytest.mark.parametrize("text", ["quad:1,0,4", "quad:2,1,3", "quad:1,0,1e-12",
@@ -268,10 +333,6 @@ def test_round_frame_is_a_square_root_of_the_form_and_inverts(text, rng):
     assert np.all(bx * x + by * y > 0.0)
     assert np.max(np.abs(bx * y - by * x) / np.hypot(bx, by) / np.hypot(x, y)) <= 1e-9
     assert NormSpec.euclidean().round_frame is None and LP4.round_frame is None
-
-
-POLY14 = NormSpec.polygon([(1.3 * math.cos(a), math.sin(a))
-                           for a in (k * math.pi / 7 + 0.05 * (k % 3) for k in range(7))])
 
 
 @pytest.mark.parametrize("spec", [NormSpec.lp(1), SQUARE, POLY14], ids=["lp:1", "square", "14-gon"])
@@ -342,6 +403,49 @@ def test_birkhoff_predicate(spec, u, v, expected):
     # cross-check against the dense-grid oracle
     best = grid_min_along(spec, u, v)
     assert (best >= spec.value(*u) - 1e-6) is expected
+
+
+FUZZ_SPECS = [EUCLID, QUAD213, QUAD14, NormSpec.parse("quad:1,0,1e-12"),
+              NormSpec.parse("quad:4e307,1e307,1e307"), NormSpec.parse("quad:1e-300,0,1e-300"),
+              NormSpec.lp(1.1), NormSpec.lp(1.5), LP4, NormSpec.lp(16), NormSpec.lp(1),
+              SQUARE, SKEWED_HEXAGON, POLY14]
+
+
+def _near_orthogonal_pairs(spec, rng, count):
+    """(u, v) pairs: u on the unit circle, v a support direction at u (each facet's
+    at a polygon corner) turned by 1e-14 to 1e-3 either way, with N(v) from 1e-3
+    to 1e3, and one random unit direction per u."""
+    thetas = list(rng.uniform(0.0, TWO_PI, count)) + list(spec.corner_angles) * 5
+    for theta in thetas:
+        u = natural_param(spec, theta)
+        if spec.smooth:
+            gx, gy = spec.grad(u.x, u.y)
+            dirs = [(-gy, gx)]
+        else:
+            levels = [nx * u.x + ny * u.y for nx, ny in spec.normals]
+            dirs = [(-ny, nx) for (nx, ny), level in zip(spec.normals, levels)
+                    if level >= max(levels) - 1e-12]
+        for dx, dy in dirs:
+            for _ in range(2):
+                turn = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -3.0))
+                c, s = math.cos(turn), math.sin(turn)
+                scale = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+                scale /= spec.value(dx, dy)
+                yield u.coords, (scale * (c * dx - s * dy), scale * (s * dx + c * dy))
+        w = natural_param(spec, rng.uniform(0.0, TWO_PI))
+        yield u.coords, w.coords
+
+
+@pytest.mark.parametrize("spec", FUZZ_SPECS, ids=spec_ids(FUZZ_SPECS))
+def test_closed_form_predicate_matches_the_line_minimum(spec, rng):
+    """The closed form flips no verdict of the line-minimum predicate, across the
+    verdict boundary: 2 in 3 pairs straddle it, at turns from 1e-14 to 1e-3."""
+    verdicts = []
+    for u, v in _near_orthogonal_pairs(spec, rng, 400):
+        got = is_birkhoff_orthogonal(spec, u, v)
+        assert got is line_min_orthogonal(spec, u, v), (u, v)
+        verdicts.append(got)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_birkhoff_zero_vector_rejected():

@@ -8,8 +8,8 @@ from rho_planes import (DomainError, NormSpec, build_polygon, natural_param, pol
                         polygon_to_dict, rho_from_kn, wedge)
 from rho_planes.polygons import DEFAULT_CLOSE_TOL, MAX_STEPS, _cluster
 
-from conftest import (EUCLID, IPS_SPECS, QUAD213, SQUARE, plain_polygon,
-                      single_linkage_clusters, spec_ids)
+from conftest import (EUCLID, IPS_SPECS, LP4, LP15, QUAD213, SKEWED_HEXAGON, SQUARE,
+                      plain_polygon, single_linkage_clusters, spec_ids)
 from test_chords import ORACLE_IDS, ORACLE_SPECS
 
 TWO_PI = 2.0 * math.pi
@@ -77,7 +77,7 @@ def test_accumulation_points_match_single_linkage_oracle(spec):
         poly = build_polygon(spec, natural_param(spec, 0.35), rho, 1000)
         assert poly.status == "non_closing"
         tail = poly.vertices[int(0.8 * len(poly.vertices)):]
-        assert poly.accumulation_points == single_linkage_clusters(tail, radius)
+        assert poly.accumulation_points == single_linkage_clusters(spec, tail, radius)
         if spec.is_ips_family:
             # the orbit is conjugate to a rotation and never accumulates:
             # every tail point is its own entry
@@ -86,9 +86,37 @@ def test_accumulation_points_match_single_linkage_oracle(spec):
 
 def test_accumulation_runs_join_across_theta_zero():
     points = [natural_param(EUCLID, t) for t in (TWO_PI - 1e-7, 1e-7, math.pi)]
-    got = _cluster(points, 1e-5)
+    got = _cluster(EUCLID, points, 1e-5)
     assert len(got) == 2
-    assert got == single_linkage_clusters(points, 1e-5)
+    assert got == single_linkage_clusters(EUCLID, points, 1e-5)
+
+
+def test_chained_run_centroids_lie_on_the_unit_circle():
+    """A slow walk that crowds in at the four axes chains each crowd into one run
+    about 1e-4 long, whose plain centroid lies 1.1e-6 to 1.3e-6 inside S."""
+    spec = NormSpec.lp(1.2617)
+    poly = build_polygon(spec, natural_param(spec, 4.330627), 0.866088, 1500)
+    assert poly.status == "non_closing"
+    for x, y in poly.accumulation_points:
+        assert abs(spec.value(x, y) - 1.0) <= 4.5e-16, (x, y)
+
+
+@pytest.mark.parametrize("spec,rho,q", [
+    (LP4, 0.6, 4), (NormSpec.lp(1), 0.6, 4), (NormSpec.lp(3), 0.85, 16),
+    (LP15, 0.93, 8), (SKEWED_HEXAGON, 0.3, 5), (SKEWED_HEXAGON, 0.55, 10)],
+    ids=["lp:4", "lp:1", "lp:3", "lp:1.5", "hexagon-0.3", "hexagon-0.55"])
+def test_locked_walk_reports_its_period_many_points(spec, rho, q):
+    """A walk whose rotation number is p/q converges to a period-q orbit, so a tail
+    of 401 points, long against q, accumulates at exactly q points on S."""
+    poly = build_polygon(spec, natural_param(spec, 0.35), rho, 2000)
+    assert poly.status == "non_closing"
+    tail = poly.vertices[int(0.8 * len(poly.vertices)):]
+    turning = sum((b.theta - a.theta) % TWO_PI for a, b in zip(tail, tail[1:]))
+    rotation = turning / (TWO_PI * (len(tail) - 1))
+    assert abs(rotation * q - round(rotation * q)) <= 1e-6 * q, rotation
+    assert len(poly.accumulation_points) == q
+    for x, y in poly.accumulation_points:
+        assert abs(spec.value(x, y) - 1.0) <= 4.5e-16, (x, y)
 
 
 @pytest.mark.parametrize("k,n", [(1, 3), (1, 5), (2, 5), (2, 7), (3, 7)])

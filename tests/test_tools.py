@@ -6,6 +6,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -23,6 +25,7 @@ def _ab_interleave(other, workload, requests):
 def _assert_no_difference(workload):
     _, result = _ab_interleave(ROOT, workload, 16)
     assert result["differ"] == 0 and result["first_differ"] is None
+    assert result["max_move"] == 0.0 and result["text_differ"] == 0
     assert result["a"]["failed"] == 0 and result["b"]["failed"] == 0
 
 
@@ -49,6 +52,8 @@ def test_ab_interleave_names_the_first_request_that_differs(tmp_path):
                               '"turning": poly.total_turning + 1.0,'))
     stdout, result = _ab_interleave(str(tmp_path), "orbit_walk", 4)
     assert result["differ"] > 0
+    # only a number moved, by the shift
+    assert result["max_move"] == pytest.approx(1.0, abs=1e-9) and result["text_differ"] == 0
     first = result["first_differ"]
     assert first["argv"][0] == "polygon"
     assert f"first differing request: {first['index']} ({' '.join(first['argv'])})" in stdout

@@ -13,6 +13,10 @@ and failures, how many requests' exit code, stdout, written file, library
 value (by repr) or raised error differ between the sides, the index and
 argv of the first that differs, and the gain of A over B; the last line
 is one JSON object, with `first_differ` null when no request differs.
+Over the requests that differ it also reports `max_move`, the largest
+absolute difference between corresponding numbers of the two outputs,
+and `text_differ`, how many of them differ in more than their numbers
+(the text with each number blanked out).
 `RHO_PLANES_SEED` is set to 1, as for golden files, so no output carries
 a timestamp.  Nothing under `perfbench/` changes.
 """
@@ -21,6 +25,7 @@ import argparse
 import importlib
 import json
 import os
+import re
 import shutil
 import statistics
 import sys
@@ -30,6 +35,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[0:1] = [ROOT, os.path.join(ROOT, "src")]
 
 from perfbench import loop, oracles, workloads  # noqa: E402
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _load_other(tree: str, tmp: str):
@@ -55,6 +62,20 @@ def _output(outcome) -> tuple:
     return outcome.code, outcome.stdout, outcome.written, repr(outcome.value), outcome.error
 
 
+def _move(a: tuple, b: tuple) -> tuple[float, bool]:
+    """The largest move between corresponding numbers of two outputs, and whether
+    anything but their numbers differs."""
+    move, text_differs = 0.0, False
+    for x, y in zip(a, b):
+        x, y = (t.decode("latin-1") if isinstance(t, bytes) else str(t) for t in (x, y))
+        if NUMBER.sub("#", x) != NUMBER.sub("#", y):
+            text_differs = True
+            continue
+        for p, q in zip(NUMBER.findall(x), NUMBER.findall(y)):
+            move = max(move, abs(float(p) - float(q)))
+    return move, text_differs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--other", required=True, help="root of the tree to compare against")
@@ -76,19 +97,23 @@ def main(argv=None) -> int:
         reqs = prepared[0][0]
         tallies = [loop.Tally(), loop.Tally()]
         memos = [oracles.Memo(), oracles.Memo()]
-        differ, first_differ = 0, None
+        differ, first_differ, max_move, text_differ = 0, None, 0.0, 0
         for index, req in enumerate(reqs):
             outcomes = [None, None]
             for s in ((0, 1) if index % 2 == 0 else (1, 0)):
                 seconds, outcomes[s] = loop.execute(sides[s], req, prepared[s][1])
                 tallies[s].record(index, req, seconds, outcomes[s], memos[s])
-            if _output(outcomes[0]) != _output(outcomes[1]):
+            outputs = [_output(outcome) for outcome in outcomes]
+            if outputs[0] != outputs[1]:
                 differ += 1
+                move, text_differs = _move(*outputs)
+                max_move, text_differ = max(max_move, move), text_differ + text_differs
                 if first_differ is None:
                     first_differ = {"index": index, "kind": req.kind, "argv": list(req.argv)}
 
     result = {"workload": args.workload, "seed": args.seed, "requests": len(reqs),
-              "differ": differ, "first_differ": first_differ}
+              "differ": differ, "first_differ": first_differ, "max_move": max_move,
+              "text_differ": text_differ}
     for name, tally in zip(("a", "b"), tallies):
         result[name] = _summary(tally.latencies, tally.failures)
         print(f"{name}: {result[name]['seconds']:.4f} s summed, "
@@ -97,7 +122,8 @@ def main(argv=None) -> int:
         for line in tally.failures[:5]:
             print(f"  FAILED {line}", file=sys.stderr)
     result["gain"] = result["a"]["requests_per_s"] / result["b"]["requests_per_s"] - 1.0
-    print(f"{differ} of {len(reqs)} requests differ in exit code, stdout, file, value or error; "
+    print(f"{differ} of {len(reqs)} requests differ in exit code, stdout, file, value or error "
+          f"({text_differ} in more than numbers, largest number move {max_move:.3g}); "
           f"A over B: {100.0 * result['gain']:+.1f}% requests/s")
     if first_differ is not None:
         print(f"first differing request: {first_differ['index']} "
