@@ -346,4 +346,4 @@ def sweep_to_json(reports: list[PropertyReport], config: dict | None = None) -> 
     doc = {"reports": [r.to_dict() for r in reports]}
     if config is not None:
         doc["config"] = config
-    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(doc, sort_keys=True, check_circular=False, allow_nan=False) + "\n"

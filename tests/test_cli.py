@@ -1,5 +1,6 @@
 """CLI behavior: dispatch, exit codes, determinism, round-trips."""
 
+import dataclasses
 import json
 import math
 
@@ -544,6 +545,19 @@ def test_a_nan_in_a_json_output_is_an_internal_error(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert "not JSON compliant" in json.loads(err)["error"]["message"]
+
+
+def test_a_nan_in_a_polygon_or_sweep_record_still_fails(monkeypatch, capsys):
+    """The writers skip the cycle check, not the NaN check: a NaN deep in an orbit
+    record or a sweep report is still refused."""
+    monkeypatch.setattr(cli, "polygon_to_dict", lambda poly: {"vertices": [(0.0, math.nan, 1.0)]})
+    code, out, err = run(["polygon", "--spec", "euclid", "--rho", "0.5", "--max-steps", "10"],
+                         capsys)
+    assert code == 4 and out == ""
+    assert "not JSON compliant" in json.loads(err)["error"]["message"]
+    report = sweep([NormSpec.euclidean()], [0.5], samples=16)[0]
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.sweep_to_json([dataclasses.replace(report, max_midpoint_deviation=math.nan)])
 
 
 @pytest.mark.parametrize("argv", [

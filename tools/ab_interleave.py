@@ -19,6 +19,13 @@ and `text_differ`, how many of them differ in more than their numbers
 (the text with each number blanked out).
 `RHO_PLANES_SEED` is set to 1, as for golden files, so no output carries
 a timestamp.  Nothing under `perfbench/` changes.
+
+The gain is not zero between identical trees.  Run with --other naming
+its own tree (A/A, 640 requests), it read -1.8% and -2.2% on check_grid
+(seeds 1 and 7), -0.2% and +0.3% on figures, and +2.9% and +0.6% on
+orbit_walk (seeds 7 and 8): two copies of the same code spread by about
++-3%.  Quote an A/A run of the same workload and seeds beside any gain
+under 5%.
 """
 
 import argparse
