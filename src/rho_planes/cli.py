@@ -280,13 +280,6 @@ def _cmd_sweep(conf: dict) -> int:
     return EXIT_OK
 
 
-def _orbit_svg(spec, rho, verts, closed, conf) -> str:
-    """The unit circle, its rho-homothet and an orbit, as an SVG document."""
-    scene = svgmod.sphere_scene(spec, rho)
-    svgmod.add_polygon_layer(scene, verts, closed)
-    return svgmod.render_svg(scene, comment=_config_blob(conf))
-
-
 def _cmd_polygon(conf: dict) -> int:
     spec = _parse_spec(conf)
     rho = _resolve_rho(conf)
@@ -297,8 +290,9 @@ def _cmd_polygon(conf: dict) -> int:
     out = conf.get("out")
     fmt = conf.get("format") or ("svg" if str(out or "").endswith(".svg") else "json")
     if fmt == "svg":
-        text = _orbit_svg(spec, rho, [v.coords for v in poly.vertices],
-                          poly.status == "closed", conf)
+        text = svgmod.render_svg(spec, rho, _config_blob(conf),
+                                 orbit=[v.coords for v in poly.vertices],
+                                 closed=poly.status == "closed")
     else:
         text = _json_doc({"polygon": polygon_to_dict(poly)}, conf)
     _emit(text, out)
@@ -363,18 +357,17 @@ def _cmd_render(conf: dict) -> int:
             closed = record["status"] == "closed"
         except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise UsageError(f"polygon JSON is malformed: {exc}")
-        _emit(_orbit_svg(spec, rho, verts, closed, conf), conf.get("out"))
+        _emit(svgmod.render_svg(spec, rho, _config_blob(conf), orbit=verts, closed=closed),
+              conf.get("out"))
         return EXIT_OK
 
     spec = _parse_spec(conf)
     rho = _resolve_rho(conf)
-    scene = svgmod.sphere_scene(spec, rho)
+    conic, marks = None, ()
     if conf.get("show_ellipse"):
         u, u_star, w, conic = _supporting_conic(spec, rho, conf)
-        svgmod.add_ellipse_layer(scene, conic)
-        svgmod.add_marked_points(scene, [(u.x, u.y, "u"), (w[0], w[1], "w"),
-                                         (u_star.x, u_star.y, "u*")])
-    text = svgmod.render_svg(scene, comment=_config_blob(conf))
+        marks = [(u.x, u.y, "u"), (w[0], w[1], "w"), (u_star.x, u_star.y, "u*")]
+    text = svgmod.render_svg(spec, rho, _config_blob(conf), conic=conic, marks=marks)
     _emit(text, conf.get("out"))
     return EXIT_OK
 

@@ -1,13 +1,12 @@
-"""Deterministic SVG rendering of unit circles, orbits, and conics.
+"""Deterministic SVG rendering of the paper's two figures.
 
 Fixed 800x800 canvas over the world viewport [-1.3, 1.3]^2; curves are
 drawn as 512-point polylines and vertices as circles of world radius
-0.012.  Curves, then markers, then labels stack in the order the scene
-holds them, and identical scenes render to identical bytes.
+0.012.  `render_svg` draws one figure per call, and identical arguments
+render to identical bytes.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,35 +21,6 @@ VERTEX_RADIUS = 0.012
 LABEL_SIZE = 18
 
 _SCALE = CANVAS / (2.0 * VIEW_HALF)
-
-
-@dataclass(frozen=True)
-class Curve:
-    points: np.ndarray  # (n, 2) world coordinates
-    closed: bool = True
-    stroke: str = "#000000"
-    width: float = 1.5
-    dash: str | None = None
-
-
-@dataclass(frozen=True)
-class Markers:
-    points: np.ndarray  # (n, 2) world coordinates
-    fill: str = "#000000"
-
-
-@dataclass(frozen=True)
-class Labels:
-    points: np.ndarray  # (n, 2) world coordinates where each text starts
-    texts: list[str]
-    fill: str = "#000000"
-
-
-@dataclass
-class Scene:
-    curves: list[Curve] = field(default_factory=list)
-    markers: list[Markers] = field(default_factory=list)
-    labels: list[Labels] = field(default_factory=list)
 
 
 def _pixels(points) -> np.ndarray:
@@ -75,63 +45,54 @@ def conic_points(conic: ConicForm) -> np.ndarray:
 
 
 def _poly_attr(points, closed) -> tuple[str, str]:
+    """The `points` attribute (pixels to three decimals) and tag of the curve
+    through world points."""
     px = _pixels(points)
     coords = " ".join(["%.3f,%.3f"] * len(px)) % tuple(px.ravel().tolist())
     return coords, "polygon" if closed else "polyline"
 
 
-def render_svg(scene: Scene, comment: str | None = None) -> str:
-    """Render a scene to an SVG document string (bytes are config-determined)."""
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
-        f'viewBox="0 0 {CANVAS} {CANVAS}">',
-    ]
-    if comment is not None:
-        lines.append(f"<!-- config: {comment} -->")
-    lines.append(f'<rect width="{CANVAS}" height="{CANVAS}" fill="#ffffff"/>')
+def render_svg(spec: NormSpec, rho: float, comment: str, orbit=None, closed: bool = False,
+               conic: ConicForm | None = None, marks=()) -> str:
+    """One figure as an SVG document string.
 
-    for points in [c.points for c in scene.curves] + [m.points for m in scene.markers]:
-        if not np.isfinite(_pixels(points)).all():
-            raise DomainError("non-finite curve coordinate")
-    for curve in scene.curves:
-        coords, tag = _poly_attr(curve.points, curve.closed)
-        dash = f' stroke-dasharray="{curve.dash}"' if curve.dash else ""
-        lines.append(f'<{tag} points="{coords}" fill="none" '
-                     f'stroke="{curve.stroke}" stroke-width="{curve.width}"{dash}/>')
+    Draws the unit circle of spec and its rho-homothet, then, each when
+    given, the supporting conic, the orbit through the (x, y) vertices (a
+    polygon when closed) with a marker on each, and the (x, y, text) marks
+    with their labels.  comment is the JSON config written into the
+    document; a `--` in it, which XML forbids in a comment, is written
+    `-\\u002d`, which JSON reads back as `--`.
+    """
+    sphere = circle_points(spec)
+    curves = [(sphere, True, 'stroke="#000000" stroke-width="2.0"'),
+              (rho * sphere, True, 'stroke="#888888" stroke-width="1.2" stroke-dasharray="6,4"')]
+    if conic is not None:
+        curves.append((conic_points(conic), True,
+                       'stroke="#2040c0" stroke-width="1.4" stroke-dasharray="2,3"'))
+    if orbit is not None:
+        curves.append((orbit, closed, 'stroke="#c22222" stroke-width="1.6"'))
+    xy = np.array([(x, y) for x, y, _ in marks], dtype=float)
+    layers = [_poly_attr(points, is_closed) for points, is_closed, _ in curves]
+    marked = _poly_attr(xy, False)[0]
+    # each layer's pixels are computed and formatted once, and the markers are
+    # read back from that text; a pixel that is not finite formats as inf or nan
+    if any("n" in coords for coords in [c for c, _ in layers] + [marked]):
+        raise DomainError("non-finite curve coordinate")
+
+    comment = comment.replace("--", "-\\u002d")
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
+             f'viewBox="0 0 {CANVAS} {CANVAS}">',
+             f"<!-- config: {comment} -->",
+             f'<rect width="{CANVAS}" height="{CANVAS}" fill="#ffffff"/>']
+    lines += [f'<{tag} points="{coords}" fill="none" {style}/>'
+              for (coords, tag), (_, _, style) in zip(layers, curves)]
     r = VERTEX_RADIUS * _SCALE
-    for marks in scene.markers:
-        lines.extend(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{r:.3f}" fill="{marks.fill}"/>'
-                     for px, py in _pixels(marks.points).tolist())
-    for labels in scene.labels:
-        lines.extend(f'<text x="{px:.3f}" y="{py:.3f}" font-family="sans-serif" '
-                     f'font-size="{LABEL_SIZE}" fill="{labels.fill}">{text}</text>'
-                     for (px, py), text in zip(_pixels(labels.points).tolist(), labels.texts))
+    dots = [(layers[-1][0], "#c22222")] if orbit is not None else []
+    for coords, fill in dots + [(marked, "#106010")]:
+        lines += [f'<circle cx="{x}" cy="{y}" r="{r:.3f}" fill="{fill}"/>'
+                  for x, _, y in (pair.partition(",") for pair in coords.split())]
+    lines += [f'<text x="{x:.3f}" y="{y:.3f}" font-family="sans-serif" '
+              f'font-size="{LABEL_SIZE}" fill="#106010">{text}</text>'
+              for (x, y), (_, _, text) in zip(_pixels(xy + 0.03).tolist(), marks)]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def sphere_scene(spec: NormSpec, rho: float | None = None) -> Scene:
-    """Unit circle, optionally with its rho-homothet."""
-    scene = Scene()
-    sphere = circle_points(spec)
-    scene.curves.append(Curve(sphere, stroke="#000000", width=2.0))
-    if rho is not None:
-        scene.curves.append(Curve(rho * sphere, stroke="#888888", width=1.2, dash="6,4"))
-    return scene
-
-
-def add_polygon_layer(scene: Scene, vertices: list[tuple[float, float]],
-                      closed: bool) -> None:
-    points = np.asarray(vertices, dtype=float)
-    scene.curves.append(Curve(points, closed=closed, stroke="#c22222", width=1.6))
-    scene.markers.append(Markers(points, fill="#c22222"))
-
-
-def add_ellipse_layer(scene: Scene, conic: ConicForm) -> None:
-    scene.curves.append(Curve(conic_points(conic), stroke="#2040c0", width=1.4, dash="2,3"))
-
-
-def add_marked_points(scene: Scene, points: list[tuple[float, float, str]]) -> None:
-    xy = np.array([(x, y) for x, y, _ in points], dtype=float)
-    scene.markers.append(Markers(xy, fill="#106010"))
-    scene.labels.append(Labels(xy + 0.03, [t for _, _, t in points], fill="#106010"))

@@ -1,6 +1,7 @@
 """Shared specs and independent oracles for the test suite."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -329,6 +330,37 @@ def max_poly_tangent_exit(normals, ux, uy, rho):
     return px, py, t
 
 
+def exact_poly_tangent_exit(normals, ux, uy, rho):
+    """`max_poly_tangent_exit` in exact rationals: the float normals, seed and
+    rho are read as Fractions and every later step is exact.
+
+    Returns the tangent vertex p, the exit parameter t, the exit point
+    u + t*(p - u) on the unit polygon and the gauge max_i <n_i, .> of the
+    chord's midpoint.  Kept as the oracle for the rounding of
+    `rho_planes.chords._poly_tangent_exit` and `_poly_tangent_exit_many`.
+    """
+    ns = [(Fraction(a), Fraction(b)) for a, b in normals]
+    u, r = (Fraction(ux), Fraction(uy)), Fraction(rho)
+
+    def dot(n, v):
+        return n[0] * v[0] + n[1] * v[1]
+
+    m = len(ns)
+    k = max(range(m), key=lambda i: dot(ns[i], u))
+    for _ in range(m):
+        k = (k + 1) % m
+        if dot(ns[k], u) < r:
+            break
+    (ax, ay), (bx, by) = ns[k - 1], ns[k]
+    det = ax * by - ay * bx
+    p = (r * (by - ay) / det, r * (ax - bx) / det)
+    d = (p[0] - u[0], p[1] - u[1])
+    t = min((1 - dot(n, u)) / s for n in ns if (s := dot(n, d)) > 0)
+    exit_point = (u[0] + t * d[0], u[1] + t * d[1])
+    mid = ((u[0] + exit_point[0]) / 2, (u[1] + exit_point[1]) / 2)
+    return p, t, exit_point, max(dot(n, mid) for n in ns)
+
+
 def single_linkage_clusters(spec, points, radius):
     """Fixed-radius single-linkage pass; returns cluster centroids by angle, each
     of more than one point scaled onto the unit circle of spec.
@@ -425,7 +457,8 @@ def per_point_conic(conic):
 def scaled_circle(spec, scale):
     """The SVG unit-circle polyline scaled point by point in Python floats.
 
-    Kept as the oracle for the homothet layer of `rho_planes.svg.sphere_scene`.
+    Kept as the oracle for the unit circle and homothet layers of
+    `rho_planes.svg.render_svg`.
     """
     thetas = np.linspace(0.0, 2.0 * math.pi, CURVE_POINTS, endpoint=False)
     x, y = unit_points(spec, thetas)

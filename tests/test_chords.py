@@ -1,7 +1,9 @@
 """Chord minima, the star map, and chord frames."""
 
+import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,11 +14,11 @@ from rho_planes import (DomainError, NormSpec, NumericalError, chord_frame,
 
 from rho_planes import chords
 from rho_planes.chords import _poly_tangent_exit, _poly_tangent_exit_many, star_map_many
-from rho_planes.norms import _xy, unit_points
+from rho_planes.norms import UnitPoint, _xy, unit_points
 
 from conftest import (EUCLID, IPS_SPECS, LP4, LP15, QUAD14, QUAD213, SKEWED_HEXAGON, SQUARE,
-                      bisection_star_map, envelope_min, golden_min, grid_chord_min, line_min,
-                      max_poly_tangent_exit, quad_star_oracle, spec_ids)
+                      bisection_star_map, envelope_min, exact_poly_tangent_exit, golden_min,
+                      grid_chord_min, line_min, max_poly_tangent_exit, quad_star_oracle, spec_ids)
 
 TWO_PI = 2.0 * math.pi
 
@@ -323,6 +325,70 @@ def test_bisected_polygon_exit_matches_the_max_facet_oracle(spec, rng):
             # numpy's cos and sin may round the seed differently from math's
             want = max_poly_tangent_exit(spec.normals, float(ux[i]), float(uy[i]), rho)
             assert tuple(float(v[i]) for v in many) == want, (theta, rho)
+
+
+def _tie_seeds(spec, rho):
+    """Float points of the unit polygon where the line of a facet of rho*P meets
+    it, and their neighbouring floats: the seeds whose visibility tests tie.
+    Also the points 1e-7 away along the facet of the polygon, which do not tie."""
+    seeds = []
+    for a, b in itertools.permutations(spec.normals, 2):
+        det = a[0] * b[1] - a[1] * b[0]  # <a, x> = rho and <b, x> = 1
+        if det == 0.0:
+            continue
+        x, y = (rho * b[1] - a[1]) / det, (a[0] - rho * b[0]) / det
+        if abs(spec.value(x, y) - 1.0) > 1e-12:
+            continue
+        points = list(itertools.product(*([v, math.nextafter(v, -2.0), math.nextafter(v, 2.0)]
+                                          for v in (x, y))))
+        points += [(x - h * b[1], y + h * b[0]) for h in (-1e-7, 1e-7)]
+        seeds += [(math.atan2(py, px) % TWO_PI, px, py) for px, py in points]
+    return seeds
+
+
+EXACT_EXIT_SPECS = [SQUARE, NormSpec.lp(1), SKEWED_HEXAGON,
+                    _random_symmetric_polygon(1), _random_symmetric_polygon(2)]
+
+
+@pytest.mark.parametrize("spec", EXACT_EXIT_SPECS,
+                         ids=["square", "lp:1", "skewed-hexagon", "random-8gon", "random-12gon"])
+def test_polygon_exit_is_within_rounding_of_the_exact_construction(spec, rng):
+    """Both polygon exits against the same construction in `Fraction`s.
+
+    Bounds from a 3600-seed measurement (ROADMAP item 5): the relative exit
+    parameter and the exit point stay within 8*eps*(1 - rho)^-1.5, the
+    midpoint gauge within 32*eps.  Where the float and exact visibility
+    tests split at a tie, the float map takes the other end of the same
+    tangent facet: its vertex lies on the exact tangent line and only the
+    exit point is compared.
+    """
+    eps, corners = 2.0**-52, list(spec.corner_angles)
+    thetas = sorted(set(rng.uniform(0.0, TWO_PI, 60)) | set(corners)
+                    | {math.nextafter(c, 7.0) for c in corners}
+                    | {math.nextafter(c, -1.0) % TWO_PI for c in corners})
+    ux, uy = unit_points(spec, np.array(thetas))
+    splits = 0
+    for rho in (0.05, 0.5, math.cos(math.pi / 5), 0.98):
+        bound = 8.0 * eps * (1.0 - rho) ** -1.5
+        seeds = list(zip(thetas, ux.tolist(), uy.tolist())) + _tie_seeds(spec, rho)
+        th, xs, ys = (np.array(v) for v in zip(*seeds))
+        many = _poly_tangent_exit_many(spec, th, xs, ys, rho)
+        for i, (theta, x, y) in enumerate(seeds):
+            p, t, exit_point, mid_gauge = exact_poly_tangent_exit(spec.normals, x, y, rho)
+            for px, py, ft in (_poly_tangent_exit(spec, UnitPoint(theta, (x, y)), rho),
+                               tuple(float(v[i]) for v in many)):
+                where = (theta, rho)
+                if max(abs(px - p[0]), abs(py - p[1])) > 1e-9:
+                    splits += 1
+                    line = (p[0] - x) * (Fraction(py) - y) - (p[1] - y) * (Fraction(px) - x)
+                    assert abs(line) <= 1e-15, where
+                else:
+                    assert abs(Fraction(ft) - t) <= bound * t, where
+                sx, sy = x + ft * (px - x), y + ft * (py - y)
+                assert max(abs(sx - exit_point[0]), abs(sy - exit_point[1])) <= bound, where
+                gauge = spec.value((x + sx) / 2.0, (y + sy) / 2.0)
+                assert abs(gauge - mid_gauge) <= 32.0 * eps, where
+    assert splits > 0 or spec is SQUARE  # the tie seeds reach the split on every other spec
 
 
 @pytest.mark.parametrize("spec", [EUCLID, LP4, SQUARE], ids=["euclid", "lp:4", "square"])

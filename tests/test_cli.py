@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -499,6 +500,19 @@ def test_a_vertex_whose_pixel_overflows_is_a_usage_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"]["type"] == "usage"
     assert not svg.exists()
+
+
+def test_a_config_holding_a_double_hyphen_renders_well_formed_xml(tmp_path, capsys):
+    """`--` may not appear inside an XML comment; the config comment still reads back."""
+    record, fig = tmp_path / "orbit--a.json", tmp_path / "fig.svg"
+    assert run(["polygon", "--spec", "euclid", "--rho", "0.5", "--max-steps", "5",
+                "--out", str(record)], capsys)[0] == 0
+    assert run(["render", "--from-json", str(record), "--out", str(fig)], capsys)[0] == 0
+    ET.parse(fig)
+    text = fig.read_text()
+    head = "<!-- config: "
+    start = text.index(head) + len(head)
+    assert json.loads(text[start:text.index(" -->", start)])["from_json"] == str(record)
 
 
 @pytest.mark.parametrize("argv, entries", [

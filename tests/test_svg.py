@@ -1,6 +1,8 @@
-"""SVG scene building and deterministic rendering."""
+"""Deterministic rendering of the two figures."""
 
+import json
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -10,59 +12,82 @@ from hypothesis import strategies as st
 from rho_planes import NormSpec
 from rho_planes.conics import ConicForm
 from rho_planes.errors import DomainError
-from rho_planes.svg import (_SCALE, VIEW_HALF, Curve, Markers, Scene, _poly_attr,
-                            add_ellipse_layer, add_polygon_layer, circle_points, conic_points,
-                            render_svg, sphere_scene)
+from rho_planes.svg import _SCALE, VIEW_HALF, _poly_attr, conic_points, render_svg
 
 from conftest import (ALL_SPECS, EUCLID, SQUARE, per_point_conic, per_point_coords,
                       scaled_circle, spec_ids)
 
+SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def _curve_attr(text, stroke):
+    """The `points` attribute of the one curve drawn with this stroke."""
+    (curve,) = [el for el in ET.fromstring(text)
+                if el.tag in (SVG_NS + "polygon", SVG_NS + "polyline")
+                and el.get("stroke") == stroke]
+    return curve.get("points")
+
 
 def test_single_circle_layer():
-    scene = Scene(curves=[Curve(circle_points(EUCLID))])
-    text = render_svg(scene)
+    text = render_svg(EUCLID, 0.5, "{}")
     assert text.startswith("<svg ")
-    assert text.count("<polygon") == 1
+    assert text.count("<polygon") == 2  # the unit circle and its homothet
     assert text.rstrip().endswith("</svg>")
     # 512 sample points on the closed curve
-    pts = text.split('points="')[1].split('"')[0].split()
-    assert len(pts) == 512
+    assert len(_curve_attr(text, "#000000").split()) == 512
 
 
 def test_layer_order_is_fixed():
-    scene = sphere_scene(SQUARE, rho=0.5)
-    add_ellipse_layer(scene, ConicForm(1.0, -1.0, 1.0, 1.0))
-    add_polygon_layer(scene, [(1, 0), (0, 1), (-1, 0), (0, -1)], closed=True)
-    text = render_svg(scene)
-    order = [text.index(color) for color in
+    text = render_svg(SQUARE, 0.5, "{}", orbit=[(1, 0), (0, 1), (-1, 0), (0, -1)], closed=True,
+                      conic=ConicForm(1.0, -1.0, 1.0, 1.0), marks=[(0.5, 0.5, "w")])
+    order = [text.index(item) for item in
              ('stroke="#000000"', 'stroke="#888888"', 'stroke="#2040c0"',
-              'stroke="#c22222"')]
-    assert order == sorted(order)  # sphere < homothet < ellipse < polygon
+              'stroke="#c22222"', 'fill="#c22222"', 'fill="#106010"', "<text")]
+    # sphere < homothet < conic < orbit < its markers < marks < labels
+    assert order == sorted(order)
+    assert text.count('fill="#c22222"') == 4 and text.count("<text") == 1
 
 
 def test_render_is_deterministic():
-    scene = sphere_scene(EUCLID, rho=0.7)
-    assert render_svg(scene, comment="x") == render_svg(scene, comment="x")
+    args = (EUCLID, 0.7, "x")
+    kwargs = {"orbit": [(1.0, 0.0), (0.0, 1.0)], "marks": [(0.1, 0.2, "u")]}
+    assert render_svg(*args, **kwargs) == render_svg(*args, **kwargs)
 
 
 def test_non_finite_geometry_rejected():
     # an infinite coordinate, and a finite vertex whose pixel overflows
     for points in ([(0.0, math.inf), (1.0, 0.0)], [(1e308, 0.0), (0.0, 1.0)]):
-        for scene in (Scene(curves=[Curve(points)]), Scene(markers=[Markers(points)])):
-            with pytest.raises(DomainError):
-                render_svg(scene)
+        marks = [(x, y, "p") for x, y in points]
+        for kwargs in ({"orbit": points}, {"orbit": points, "closed": True}, {"marks": marks}):
+            with pytest.raises(DomainError, match="non-finite curve coordinate"):
+                render_svg(EUCLID, 0.5, "{}", **kwargs)
 
 
 def test_nan_geometry_rejected():
-    scene = sphere_scene(EUCLID, rho=0.5)
-    scene.curves.append(Curve(np.array([[1.0, 0.0], [math.nan, 0.5]])))
-    with pytest.raises(DomainError):
-        render_svg(scene)
+    points = [(1.0, 0.0), (math.nan, 0.5)]
+    for kwargs in ({"orbit": points}, {"marks": [(x, y, "p") for x, y in points]}):
+        with pytest.raises(DomainError, match="non-finite curve coordinate"):
+            render_svg(EUCLID, 0.5, "{}", **kwargs)
 
 
 def test_comment_embedded():
-    text = render_svg(sphere_scene(EUCLID), comment='{"spec":"euclid"}')
+    text = render_svg(EUCLID, 0.5, '{"spec":"euclid"}')
     assert '<!-- config: {"spec":"euclid"} -->' in text
+
+
+def test_comment_with_double_hyphen_stays_well_formed_xml():
+    """XML forbids `--` in a comment; JSON reads the escaped form back unchanged."""
+    for value in ("orbit--a.json", "a---b", "--", "x\\--y"):
+        blob = json.dumps({"from_json": value}, separators=(",", ":"))
+        text = render_svg(EUCLID, 0.5, blob)
+        ET.fromstring(text)
+        head = "<!-- config: "
+        start = text.index(head) + len(head)
+        comment = text[start:text.index(" -->", start)]
+        assert "--" not in comment
+        assert json.loads(comment) == {"from_json": value}
+    # a comment without `--` is written as it is
+    assert "<!-- config: {\"a\":-1} -->" in render_svg(EUCLID, 0.5, '{"a":-1}')
 
 
 def _on_pixel(target, w, pixel, sign):
@@ -123,7 +148,6 @@ def test_conic_points_match_per_point_conic_radius(rng):
                          ids=spec_ids(ALL_SPECS) + ["thin quad"])
 def test_homothet_is_the_circle_scaled_point_by_point(spec):
     for rho in (0.05, 1 / 3, math.cos(math.pi / 7), 0.9999999999999999):
-        sphere, homothet = sphere_scene(spec, rho).curves
-        assert np.array_equal(sphere.points, scaled_circle(spec, 1.0))
-        assert np.array_equal(homothet.points, scaled_circle(spec, rho))
-        assert _poly_attr(homothet.points, True)[0] == per_point_coords(scaled_circle(spec, rho))
+        text = render_svg(spec, rho, "{}")
+        assert _curve_attr(text, "#000000") == per_point_coords(scaled_circle(spec, 1.0))
+        assert _curve_attr(text, "#888888") == per_point_coords(scaled_circle(spec, rho))

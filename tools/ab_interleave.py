@@ -14,9 +14,12 @@ value (by repr) or raised error differ between the sides, the index and
 argv of the first that differs, and the gain of A over B; the last line
 is one JSON object, with `first_differ` null when no request differs.
 Over the requests that differ it also reports `max_move`, the largest
-absolute difference between corresponding numbers of the two outputs,
-and `text_differ`, how many of them differ in more than their numbers
-(the text with each number blanked out).
+absolute difference between corresponding numbers of the two outputs;
+`max_move_at`, where that move is (the key path in a JSON output, such
+as `report.worst_theta`, the column header in a CSV one, and otherwise
+`code`, `stdout`, `file`, `value` or `error`); and `text_differ`, how
+many of them differ in more than their numbers (the text with each
+number blanked out).
 `RHO_PLANES_SEED` is set to 1, as for golden files, so no output carries
 a timestamp.  Nothing under `perfbench/` changes.
 
@@ -29,6 +32,7 @@ under 5%.
 """
 
 import argparse
+import csv
 import importlib
 import json
 import os
@@ -65,22 +69,62 @@ def _summary(latencies, failures) -> dict:
             "failed": len(failures)}
 
 
+OUTPUTS = ("code", "stdout", "file", "value", "error")
+
+
 def _output(outcome) -> tuple:
     return outcome.code, outcome.stdout, outcome.written, repr(outcome.value), outcome.error
 
 
-def _move(a: tuple, b: tuple) -> tuple[float, bool]:
-    """The largest move between corresponding numbers of two outputs, and whether
-    anything but their numbers differs."""
-    move, text_differs = 0.0, False
-    for x, y in zip(a, b):
+def _leaves(text: str, name: str) -> list[tuple[str, str]]:
+    """(where, text) pieces of one output: each scalar of a JSON document under
+    its key path, each cell of a CSV table under its column header, and
+    otherwise (with a CSV's `#` lines) the text under the output's name."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if isinstance(doc, (dict, list)):
+        leaves = []
+
+        def walk(node, path):
+            if isinstance(node, dict):
+                for key, child in node.items():
+                    walk(child, f"{path}.{key}" if path else key)
+            elif isinstance(node, list):
+                for i, child in enumerate(node):
+                    walk(child, f"{path}[{i}]")
+            else:
+                leaves.append((path, json.dumps(node)))
+
+        walk(doc, "")
+        return leaves
+    lines = text.splitlines()
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    if len(rows) > 1 and len(rows[0]) > 1 and all(len(r) == len(rows[0]) for r in rows):
+        comments = "\n".join(line for line in lines if line.startswith("#"))
+        return [(name, comments)] + [(rows[0][j], cell) for row in rows[1:]
+                                     for j, cell in enumerate(row)]
+    return [(name, text)]
+
+
+def _move(a: tuple, b: tuple) -> tuple[float, str | None, bool]:
+    """The largest move between corresponding numbers of two outputs, where it is
+    (None when no number moved), and whether anything but their numbers differs."""
+    move, at, text_differs = 0.0, None, False
+    for name, x, y in zip(OUTPUTS, a, b):
         x, y = (t.decode("latin-1") if isinstance(t, bytes) else str(t) for t in (x, y))
         if NUMBER.sub("#", x) != NUMBER.sub("#", y):
             text_differs = True
             continue
-        for p, q in zip(NUMBER.findall(x), NUMBER.findall(y)):
-            move = max(move, abs(float(p) - float(q)))
-    return move, text_differs
+        xs, ys = _leaves(x, name), _leaves(y, name)
+        if [w for w, _ in xs] != [w for w, _ in ys]:  # a number in a key moved
+            xs, ys = [(name, x)], [(name, y)]
+        for (where, p_text), (_, q_text) in zip(xs, ys):
+            for p, q in zip(NUMBER.findall(p_text), NUMBER.findall(q_text)):
+                if abs(float(p) - float(q)) > move:
+                    move, at = abs(float(p) - float(q)), where
+    return move, at, text_differs
 
 
 def main(argv=None) -> int:
@@ -104,7 +148,7 @@ def main(argv=None) -> int:
         reqs = prepared[0][0]
         tallies = [loop.Tally(), loop.Tally()]
         memos = [oracles.Memo(), oracles.Memo()]
-        differ, first_differ, max_move, text_differ = 0, None, 0.0, 0
+        differ, first_differ, max_move, max_move_at, text_differ = 0, None, 0.0, None, 0
         for index, req in enumerate(reqs):
             outcomes = [None, None]
             for s in ((0, 1) if index % 2 == 0 else (1, 0)):
@@ -113,14 +157,16 @@ def main(argv=None) -> int:
             outputs = [_output(outcome) for outcome in outcomes]
             if outputs[0] != outputs[1]:
                 differ += 1
-                move, text_differs = _move(*outputs)
-                max_move, text_differ = max(max_move, move), text_differ + text_differs
+                move, at, text_differs = _move(*outputs)
+                if move > max_move:
+                    max_move, max_move_at = move, at
+                text_differ += text_differs
                 if first_differ is None:
                     first_differ = {"index": index, "kind": req.kind, "argv": list(req.argv)}
 
     result = {"workload": args.workload, "seed": args.seed, "requests": len(reqs),
               "differ": differ, "first_differ": first_differ, "max_move": max_move,
-              "text_differ": text_differ}
+              "max_move_at": max_move_at, "text_differ": text_differ}
     for name, tally in zip(("a", "b"), tallies):
         result[name] = _summary(tally.latencies, tally.failures)
         print(f"{name}: {result[name]['seconds']:.4f} s summed, "
@@ -129,8 +175,9 @@ def main(argv=None) -> int:
         for line in tally.failures[:5]:
             print(f"  FAILED {line}", file=sys.stderr)
     result["gain"] = result["a"]["requests_per_s"] / result["b"]["requests_per_s"] - 1.0
+    at = "" if max_move_at is None else f" at {max_move_at}"
     print(f"{differ} of {len(reqs)} requests differ in exit code, stdout, file, value or error "
-          f"({text_differ} in more than numbers, largest number move {max_move:.3g}); "
+          f"({text_differ} in more than numbers, largest number move {max_move:.3g}{at}); "
           f"A over B: {100.0 * result['gain']:+.1f}% requests/s")
     if first_differ is not None:
         print(f"first differing request: {first_differ['index']} "
