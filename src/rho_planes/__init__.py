@@ -11,7 +11,7 @@ from .errors import (ConfigurationError, DomainError, GeometryError,
                      UnsupportedSpecError)
 from .norms import (NormSpec, UnitPoint, as_unit_point, birkhoff_successor,
                     is_birkhoff_orthogonal, natural_param, unit_points, wedge)
-from .chords import ChordFrame, MidpointReport, chord_frame, midpoint_check, star_map
+from .chords import ChordFrame, chord_frame, star_map
 from .polygons import RhoPolygon, build_polygon, polygon_to_dict, rho_from_kn
 from .conics import (ConicForm, conic_eval, fit_rho_ellipse, tangency_dstar,
                      tangency_star)

@@ -1,4 +1,4 @@
-"""The star map, its midpoint diagnostics, and chord frames.
+"""The star map and chord frames.
 
 A chord [u, v] of the unit circle carries the convex function
 t -> ||(1-t)u + t*v|| on [0, 1].  The star map sends u to the unique
@@ -19,18 +19,6 @@ from .solve1d import illinois_root, illinois_root_many
 
 ANTIPODAL_GUARD = 1e-9
 RESIDUAL_FLOOR = 4.0 * 2.0**-52  # the rounding of an O(1) root residual; see _smooth_tangent_exit
-
-
-@dataclass(frozen=True)
-class MidpointReport:
-    """A supporting chord [u, v] with v = u* and the gauge of its midpoint.
-
-    |midpoint_norm - rho| is the midpoint-support deviation of this chord.
-    """
-
-    u: UnitPoint
-    v: UnitPoint
-    midpoint_norm: float
 
 
 @dataclass(frozen=True)
@@ -304,18 +292,6 @@ def _poly_tangent_exit_many(spec, thetas, ux, uy, rho):
             s = fx * dx + fy * dy
             t = np.where(s > 0.0, np.minimum(t, (1.0 - (fx * ux + fy * uy)) / s), t)
     return px, py, t
-
-
-def midpoint_check(spec: NormSpec, u, rho: float) -> MidpointReport:
-    """The chord [u, star_map(u)] and the gauge of its midpoint.
-
-    The chord supports rho*S by construction, so only its midpoint gauge
-    is needed; no chord minimum is solved.  `star_map` checks rho and never
-    returns u itself, so the chord is never degenerate.
-    """
-    up = as_unit_point(spec, u)
-    vp = star_map(spec, up, rho)
-    return MidpointReport(up, vp, spec.value(0.5 * (up.x + vp.x), 0.5 * (up.y + vp.y)))
 
 
 def chord_frame(spec: NormSpec, theta: float, rho: float) -> ChordFrame:

@@ -8,13 +8,14 @@ usage error.  A flag may be given once; only sweep's --spec repeats.
 `--format` exists only on polygon (json, svg) and sweep (json, csv).
 The effective config is embedded in every output.  Exit codes: 0
 success, 1 property failure on an inner-product family, 2 usage error
-(also a value outside an operation's domain), 3 numerical error (also
-when every seed of a check fails), 4 internal error (an exception the
-library does not raise on purpose).  All errors are also emitted as
-structured JSON on stderr.
+(also a value outside an operation's domain, an unreadable input or an
+unwritable output), 3 numerical error (also when every seed of a check
+fails), 4 internal error (an exception the library does not raise on
+purpose).  All errors are also emitted as structured JSON on stderr.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -27,8 +28,8 @@ from .errors import (ConfigurationError, DomainError, GeometryError,
                      NonClosingError, NumericalError, RhoPlanesError)
 from .norms import NormSpec, natural_param
 from .chords import star_map
-from .polygons import (DEFAULT_CLOSE_TOL, DEFAULT_MAX_STEPS, build_polygon,
-                       polygon_to_dict, rho_from_kn)
+from .polygons import (DEFAULT_CLOSE_TOL, DEFAULT_MAX_STEPS, STATUS_CLOSED,
+                       STATUS_NON_CLOSING, build_polygon, polygon_to_dict, rho_from_kn)
 from .conics import fit_rho_ellipse
 from .areas import DEFAULT_SAMPLES, sector_area
 from .lab import (DEFAULT_CHECK_SAMPLES, DEFAULT_CHECK_TOL, check_midpoint_property,
@@ -233,28 +234,32 @@ def _json_doc(payload: dict, conf: dict) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write to stdout, or to out_path by way of a temporary file removed if a write fails."""
     if out_path is None:
         sys.stdout.write(text)
         return
     tmp = out_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, out_path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, out_path)
+    except OSError as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise UsageError(f"cannot write output {out_path}: {exc}")
 
 
-def _cmd_check(conf: dict) -> int:
+def _cmd_check(conf: dict) -> tuple[str, int]:
     spec = _parse_spec(conf)
     rho = _resolve_rho(conf)
     samples = conf.get("samples", _DEFAULTS["samples"])
     tol = _tolerance(conf, "tol")
     report = check_midpoint_property(spec, rho, samples, tol)
-    _emit(_json_doc({"report": report.to_dict()}, conf), conf.get("out"))
-    if not report.passed and spec.is_ips_family:
-        return EXIT_PROPERTY_FAILURE
-    return EXIT_OK
+    code = EXIT_PROPERTY_FAILURE if not report.passed and spec.is_ips_family else EXIT_OK
+    return _json_doc({"report": report.to_dict()}, conf), code
 
 
-def _cmd_sweep(conf: dict) -> int:
+def _cmd_sweep(conf: dict) -> tuple[str, int]:
     specs = [NormSpec.parse(s) for s in conf.get("spec", ())]
     rhos_raw = conf.get("rhos")
     if not rhos_raw:
@@ -273,30 +278,26 @@ def _cmd_sweep(conf: dict) -> int:
         text = sweep_to_csv(reports, comment="config: " + _config_blob(conf))
     else:
         text = sweep_to_json(reports, config=conf)
-    _emit(text, conf.get("out"))
     failed = {r.spec_id for r in reports if not r.passed}
-    if any(spec.is_ips_family and spec.spec_id in failed for spec in specs):
-        return EXIT_PROPERTY_FAILURE
-    return EXIT_OK
+    ips_failed = any(spec.is_ips_family and spec.spec_id in failed for spec in specs)
+    return text, EXIT_PROPERTY_FAILURE if ips_failed else EXIT_OK
 
 
-def _cmd_polygon(conf: dict) -> int:
+def _cmd_polygon(conf: dict) -> tuple[str, int]:
     spec = _parse_spec(conf)
     rho = _resolve_rho(conf)
     seed = conf.get("seed", _DEFAULTS["seed"])
     max_steps = conf.get("max_steps", _DEFAULTS["max_steps"])
     close_tol = _tolerance(conf, "close_tol")
     poly = build_polygon(spec, natural_param(spec, seed), rho, max_steps, close_tol)
-    out = conf.get("out")
-    fmt = conf.get("format") or ("svg" if str(out or "").endswith(".svg") else "json")
+    fmt = conf.get("format") or ("svg" if str(conf.get("out", "")).endswith(".svg") else "json")
     if fmt == "svg":
         text = svgmod.render_svg(spec, rho, _config_blob(conf),
                                  orbit=[v.coords for v in poly.vertices],
-                                 closed=poly.status == "closed")
+                                 closed=poly.status == STATUS_CLOSED)
     else:
         text = _json_doc({"polygon": polygon_to_dict(poly)}, conf)
-    _emit(text, out)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
 def _supporting_conic(spec, rho, conf):
@@ -307,38 +308,35 @@ def _supporting_conic(spec, rho, conf):
     return u, u_star, w, fit_rho_ellipse(u, u_star, rho)
 
 
-def _cmd_ellipse(conf: dict) -> int:
+def _cmd_ellipse(conf: dict) -> tuple[str, int]:
     spec = _parse_spec(conf)
     rho = _resolve_rho(conf)
     u, u_star, w, conic = _supporting_conic(spec, rho, conf)
     payload = {"conic": dataclasses.asdict(conic),
                "u": u.coords, "u_star": u_star.coords, "w": w}
-    _emit(_json_doc(payload, conf), conf.get("out"))
-    return EXIT_OK
+    return _json_doc(payload, conf), EXIT_OK
 
 
-def _cmd_area(conf: dict) -> int:
+def _cmd_area(conf: dict) -> tuple[str, int]:
     spec = _parse_spec(conf)
     if conf.get("alpha") is None or conf.get("beta") is None:
         raise UsageError("area needs --alpha and --beta")
     samples = conf.get("samples", _DEFAULTS["area_samples"])
     sec = sector_area(spec, conf["alpha"], conf["beta"], samples)
-    _emit(_json_doc({"sector": dataclasses.asdict(sec)}, conf), conf.get("out"))
-    return EXIT_OK
+    return _json_doc({"sector": dataclasses.asdict(sec)}, conf), EXIT_OK
 
 
-def _cmd_probe_even(conf: dict) -> int:
+def _cmd_probe_even(conf: dict) -> tuple[str, int]:
     spec = _parse_spec(conf)
     kn = conf.get("kn")
     if not kn:
         raise UsageError("probe-even needs --kn k,n with even n")
     k, n = _parse_kn(kn)
     record = even_probe(spec, k, n, conf.get("seed", _DEFAULTS["seed"]))
-    _emit(_json_doc({"even_probe": dataclasses.asdict(record)}, conf), conf.get("out"))
-    return EXIT_OK
+    return _json_doc({"even_probe": dataclasses.asdict(record)}, conf), EXIT_OK
 
 
-def _cmd_render(conf: dict) -> int:
+def _cmd_render(conf: dict) -> tuple[str, int]:
     seed = conf.get("seed", _DEFAULTS["seed"])
     if not math.isfinite(seed):  # written to the SVG's config comment even when unused
         raise UsageError(f"--seed must be finite, got {seed!r}")
@@ -354,12 +352,14 @@ def _cmd_render(conf: dict) -> int:
             spec = NormSpec.parse(doc["config"]["spec"])
             rho = _resolve_rho({"rho": float(record["rho"])})
             verts = [(float(x), float(y)) for _, x, y in record["vertices"]]
-            closed = record["status"] == "closed"
+            status = record["status"]
+            if status not in (STATUS_CLOSED, STATUS_NON_CLOSING) or len(verts) < 3:
+                raise ValueError(f"an orbit is {STATUS_CLOSED!r} or {STATUS_NON_CLOSING!r} with "
+                                 f"at least 3 vertices, got {status!r} with {len(verts)}")
         except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise UsageError(f"polygon JSON is malformed: {exc}")
-        _emit(svgmod.render_svg(spec, rho, _config_blob(conf), orbit=verts, closed=closed),
-              conf.get("out"))
-        return EXIT_OK
+        return svgmod.render_svg(spec, rho, _config_blob(conf), orbit=verts,
+                                 closed=status == STATUS_CLOSED), EXIT_OK
 
     spec = _parse_spec(conf)
     rho = _resolve_rho(conf)
@@ -367,9 +367,7 @@ def _cmd_render(conf: dict) -> int:
     if conf.get("show_ellipse"):
         u, u_star, w, conic = _supporting_conic(spec, rho, conf)
         marks = [(u.x, u.y, "u"), (w[0], w[1], "w"), (u_star.x, u_star.y, "u*")]
-    text = svgmod.render_svg(spec, rho, _config_blob(conf), conic=conic, marks=marks)
-    _emit(text, conf.get("out"))
-    return EXIT_OK
+    return svgmod.render_svg(spec, rho, _config_blob(conf), conic=conic, marks=marks), EXIT_OK
 
 
 _COMMANDS = {
@@ -394,7 +392,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         conf = _merge_config(args)
         conf["command"] = args.command
-        return _COMMANDS[args.command](conf)
+        text, code = _COMMANDS[args.command](conf)
+        _emit(text, conf.get("out"))
+        return code
     except (UsageError, ConfigurationError, DomainError) as exc:
         _error_json("usage", str(exc))
         return EXIT_USAGE

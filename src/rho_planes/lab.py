@@ -41,7 +41,7 @@ class PropertyReport:
     worst_theta: float
     passed: bool
     tol: float
-    notes: str = ""
+    notes: str
 
     def to_dict(self) -> dict:
         return {
@@ -85,7 +85,7 @@ class PartitionSuiteReport:
     midpoint_vertex_defect: float  # vertices of P_w vs (v_i + v_{i+1})/(2 rho)
     pw_identity: str            # which orbit P_w reproduced: "P_v" or "P_-v"
     pw_match_dist: float
-    notes: str = ""
+    notes: str
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class EvenProbeRecord:
     sector_spread: float | None
     sector_sum: float | None
     ball_area: float
-    notes: str = ""
+    notes: str
 
 
 def check_midpoint_property(spec: NormSpec, rho: float,
@@ -247,19 +247,20 @@ def sector_partition_suite(spec: NormSpec, rho: float,
         midpoint_defect, identity, match, notes)
 
 
-def frame_identities(spec: NormSpec, rho: float, alpha: float, beta: float,
-                     samples: int = DEFAULT_SAMPLES) -> tuple[float, float, float]:
+def frame_identities(spec: NormSpec, rho: float, alpha: float,
+                     beta: float) -> tuple[float, float, float]:
     """Residuals of the three Stieltjes identities over chord-frame fields.
 
     With f = mu * s_perp the identities are: integral f ^ ds = 0, and the
     integration-by-parts forms of s ^ d(s_perp) and s ^ d(f) against their
-    boundary terms.  Sums are trapezoid-tagged Stieltjes (shoelace-style);
-    on norms with the midpoint-support property the summands cancel
-    pointwise, so residuals measure defects of the frame fields themselves.
+    boundary terms.  Sums are trapezoid-tagged Stieltjes (shoelace-style)
+    over DEFAULT_SAMPLES equal steps of [alpha, beta]; on norms with the
+    midpoint-support property the summands cancel pointwise, so residuals
+    measure defects of the frame fields themselves.
     """
     if not alpha < beta <= alpha + TWO_PI + 1e-12:
         raise DomainError(f"need alpha < beta <= alpha + 2*pi, got [{alpha}, {beta}]")
-    thetas = np.linspace(alpha, beta, int(samples) + 1)
+    thetas = np.linspace(alpha, beta, DEFAULT_SAMPLES + 1)
     frames = [chord_frame(spec, theta, rho) for theta in thetas]
     sx, sy, tx, ty, mu = np.array([(*f.base.coords, *f.perp.coords, f.mu) for f in frames]).T
     fx, fy = mu * tx, mu * ty

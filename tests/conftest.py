@@ -1,13 +1,14 @@
 """Shared specs and independent oracles for the test suite."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rho_planes import (ConfigurationError, NormSpec, NumericalError, as_unit_point,
-                        midpoint_check, natural_param, polygons)
+from rho_planes import (ConfigurationError, NormSpec, NumericalError, UnitPoint,
+                        as_unit_point, natural_param, polygons, star_map)
 from rho_planes.chords import ANTIPODAL_GUARD
 from rho_planes.lab import _AXIS_ANGLES
 from rho_planes.norms import ORTHO_TOL, TWO_PI, _dist_to_boundary, unit_points
@@ -399,6 +400,32 @@ def check_seeds(samples):
     deduplicated array grid.
     """
     return sorted({(TWO_PI * j) / samples for j in range(samples)} | set(_AXIS_ANGLES))
+
+
+@dataclass(frozen=True)
+class MidpointReport:
+    """A supporting chord [u, v] with v = u* and the gauge of its midpoint.
+
+    |midpoint_norm - rho| is the midpoint-support deviation of this chord.
+    """
+
+    u: UnitPoint
+    v: UnitPoint
+    midpoint_norm: float
+
+
+def midpoint_check(spec: NormSpec, u, rho: float) -> MidpointReport:
+    """The chord [u, star_map(u)] and the gauge of its midpoint.
+
+    The scalar reference for `rho_planes.check_midpoint_property`: one seed
+    at a time, with the gauge taken in the spec's own coordinates.  The chord
+    supports rho*S by construction, so only its midpoint gauge is needed; no
+    chord minimum is solved.  `star_map` checks rho and never returns u
+    itself, so the chord is never degenerate.
+    """
+    up = as_unit_point(spec, u)
+    vp = star_map(spec, up, rho)
+    return MidpointReport(up, vp, spec.value(0.5 * (up.x + vp.x), 0.5 * (up.y + vp.y)))
 
 
 def scalar_check(spec, rho, samples):

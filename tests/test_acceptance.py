@@ -10,13 +10,13 @@ import pytest
 
 from rho_planes import (build_polygon, cap_area, check_midpoint_property,
                         conic_eval, even_probe, fit_rho_ellipse,
-                        frame_identities, midpoint_check, natural_param,
+                        frame_identities, natural_param,
                         rho_from_kn, sector_area, sector_partition_suite,
                         star_map, sweep, sweep_to_csv, tangency_dstar,
                         tangency_star, total_ball_area, wedge)
 from rho_planes.cli import main as cli_main
 
-from conftest import EUCLID, LP4, QUAD14, QUAD213, SQUARE, grid_min_along
+from conftest import EUCLID, LP4, QUAD14, QUAD213, SQUARE, grid_min_along, midpoint_check
 
 TWO_PI = 2.0 * math.pi
 IPS = [EUCLID, QUAD14, QUAD213]
@@ -198,7 +198,7 @@ def test_criterion_08_frame_identities():
         for _ in range(3):
             a = float(rng.uniform(0.0, 3.0))
             b = a + float(rng.uniform(0.4, math.pi))
-            worst = max(worst, *frame_identities(spec, 0.5, a, b, 4096))
+            worst = max(worst, *frame_identities(spec, 0.5, a, b))
     _verdict(8, "frame-identities", worst <= 1e-6,
              f"worst residual={worst:.2e}, bound 1e-06")
 

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from rho_planes import (DomainError, NormSpec, NumericalError, chord_frame,
-                        check_midpoint_property, midpoint_check, natural_param, star_map,
-                        wedge)
+                        check_midpoint_property, natural_param, star_map, wedge)
 
 from rho_planes import chords
 from rho_planes.chords import _poly_tangent_exit, _poly_tangent_exit_many, star_map_many
@@ -18,7 +17,8 @@ from rho_planes.norms import UnitPoint, _xy, unit_points
 
 from conftest import (EUCLID, IPS_SPECS, LP4, LP15, QUAD14, QUAD213, SKEWED_HEXAGON, SQUARE,
                       bisection_star_map, envelope_min, exact_poly_tangent_exit, golden_min,
-                      grid_chord_min, line_min, max_poly_tangent_exit, quad_star_oracle, spec_ids)
+                      grid_chord_min, line_min, max_poly_tangent_exit, midpoint_check,
+                      quad_star_oracle, spec_ids)
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,6 +99,8 @@ def test_star_map_rejects_bad_rho():
     for rho in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(DomainError):
             star_map(EUCLID, (1, 0), rho)
+    with pytest.raises(DomainError, match="zero vector"):  # and a seed that is no unit point
+        star_map(EUCLID, (0.0, 0.0), 0.5)
 
 
 def test_star_map_bracket_failure_is_loud():

@@ -77,7 +77,7 @@ def test_check_kn_resolution(capsys):
     assert doc["config"]["kn"] == "2,7"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     assert run(["check", "--spec", "euclid"], capsys)[0] == 2          # no rho
     assert run(["check", "--rho", "0.5"], capsys)[0] == 2              # no spec
     assert run(["check", "--spec", "euclid", "--rho", "2.0"], capsys)[0] == 2
@@ -87,6 +87,19 @@ def test_usage_errors(capsys):
     code, _, err = run(["bogus-command"], capsys)
     assert code == 2
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "usage"
+    missing = str(tmp_path / "missing.json")
+    for argv, words in [
+        (["check", "--config", missing], "cannot read config file"),
+        (["check", "--spec", "euclid", "--kn", "1"], "--kn expects"),
+        (["sweep", "--spec", "euclid"], "sweep needs --rhos"),
+        (["sweep", "--spec", "euclid", "--rhos", "0.5,x"], "--rhos expects"),
+        (["area", "--spec", "euclid", "--alpha", "0.1"], "area needs --alpha and --beta"),
+        (["probe-even", "--spec", "euclid"], "probe-even needs --kn"),
+        (["render", "--from-json", missing], "cannot read polygon JSON"),
+    ]:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert words in json.loads(err)["error"]["message"], argv
 
 
 def test_unknown_flag_rejected(capsys):
@@ -150,6 +163,22 @@ def test_usage_error_leaves_no_partial_file(tmp_path, capsys):
     code, _, _ = run(["check", "--spec", "euclid", "--out", str(out)], capsys)
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["polygon", "--spec", "euclid", "--rho", "0.5"], "missing/x.json"),
+    (["render", "--spec", "euclid", "--rho", "0.5"], "adir"),
+], ids=["missing-directory", "onto-a-directory"])
+def test_an_output_that_cannot_be_written_is_a_usage_error(argv, target, tmp_path, capsys):
+    (tmp_path / "adir").mkdir()
+    out = tmp_path / target
+    code, stdout, err = run(argv + ["--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage"
+    assert error["message"].startswith(f"cannot write output {out}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+    assert list((tmp_path / "adir").iterdir()) == []
 
 
 def test_polygon_json_and_render_roundtrip(tmp_path, capsys):
@@ -408,8 +437,9 @@ def test_out_of_range_sample_counts_are_usage_errors(argv, capsys):
     ("check", {"spec": "euclid", "rho": 0.5, "frobnicate": 1}),
     ("check", {"spec": "euclid", "rho": 0.5, "format": "csv"}),
     ("polygon", {"spec": "euclid", "rho": 0.5, "seed": "abc"}),
+    ("check", ["--spec", "euclid"]),
 ], ids=["samples-text", "samples-fraction", "spec-number", "unknown-key", "format-on-check",
-        "seed-text"])
+        "seed-text", "not-an-object"])
 def test_config_entries_are_checked_like_flags(command, entries, tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps(entries))
@@ -472,7 +502,11 @@ def test_every_seed_failing_message_is_unchanged(capsys):
     (lambda doc: doc["polygon"]["vertices"][0].__setitem__(1, math.nan), "non-finite"),
     (lambda doc: doc["polygon"].__setitem__("rho", 5), "rho must lie"),
     (lambda doc: doc["config"].__setitem__("spec", ["euclid"]), "is a string"),
-], ids=["vertex-nan", "rho-5", "spec-list"])
+    (lambda doc: doc["polygon"].__setitem__("vertices", []), "got 'closed' with 0"),
+    (lambda doc: doc["polygon"]["vertices"].__delitem__(slice(1, None)), "got 'closed' with 1"),
+    (lambda doc: doc["polygon"].__setitem__("status", "open"), "got 'open' with 5"),
+], ids=["vertex-nan", "rho-5", "spec-list", "no-vertices", "closed-one-vertex",
+        "status-open"])
 def test_malformed_polygon_record_is_a_usage_error(change, words, tmp_path, capsys):
     record = tmp_path / "poly.json"
     assert run(["polygon", "--spec", "euclid", "--kn", "1,5", "--out", str(record)],

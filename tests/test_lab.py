@@ -16,7 +16,7 @@ from rho_planes.chords import star_map_many
 from rho_planes.lab import MAX_CHECK_SAMPLES
 
 from conftest import (EUCLID, IPS_SPECS, LP4, QUAD14, SQUARE, check_seeds, grid_min_along,
-                      scalar_check, spec_ids)
+                      midpoint_check, scalar_check, spec_ids)
 from test_chords import ORACLE_IDS, ORACLE_SPECS
 
 TWO_PI = 2.0 * math.pi
@@ -39,7 +39,6 @@ def test_check_fails_on_square_third():
 def test_check_reports_worst_seed():
     rep = check_midpoint_property(SQUARE, 1 / 3, 256)
     # the corner-adjacent chord achieves the recorded deviation
-    from rho_planes import midpoint_check, natural_param
     again = midpoint_check(SQUARE, natural_param(SQUARE, rep.worst_theta), 1 / 3)
     assert abs(again.midpoint_norm - 1 / 3) == pytest.approx(
         rep.max_midpoint_deviation, abs=1e-12)
@@ -89,7 +88,6 @@ def test_check_never_passes_vacuously():
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
 def test_check_matches_the_scalar_loop(spec):
-    from rho_planes import midpoint_check, natural_param
     for rho in (0.05, 0.5, math.cos(math.pi / 5), 0.98):
         rep = check_midpoint_property(spec, rho, 64)
         worst, worst_theta, notes = scalar_check(spec, rho, 64)
@@ -169,12 +167,12 @@ def test_frame_identities_small_on_ips(spec, rng):
     for _ in range(3):
         a = float(rng.uniform(0.0, 3.0))
         b = a + float(rng.uniform(0.3, 3.0))
-        residuals = frame_identities(spec, math.cos(math.pi / 5), a, b, 4096)
+        residuals = frame_identities(spec, math.cos(math.pi / 5), a, b)
         assert max(residuals) <= 1e-6
 
 
 def test_frame_identities_full_turn_boundary_cancels():
-    residuals = frame_identities(EUCLID, 0.5, 0.0, TWO_PI, 4096)
+    residuals = frame_identities(EUCLID, 0.5, 0.0, TWO_PI)
     assert residuals[1] <= 1e-6
 
 

@@ -138,6 +138,8 @@ def test_parse_roundtrip():
         assert again.spec_id == spec.spec_id
     with pytest.raises(ConfigurationError):
         NormSpec.parse("linf")
+    with pytest.raises(ConfigurationError, match="unrecognized norm spec 'circle:1'"):
+        NormSpec.parse("circle:1")
     with pytest.raises(ConfigurationError):
         NormSpec.parse("quad:1,0")
 

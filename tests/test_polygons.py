@@ -48,6 +48,13 @@ def test_euclid_pentagon_closure():
     assert (poly.n, poly.k) == (5, 1)
     for j, v in enumerate(poly.vertices):
         assert v.theta == pytest.approx(TWO_PI * j / 5, abs=1e-9)
+    # a near-pentagon returns within 0.006 of its seed at step 5, but its second
+    # lap drifts past that tolerance: not a closure; within 0.01 it closes
+    near = math.cos(math.pi / 5 + 5e-4)
+    drift = build_polygon(EUCLID, natural_param(EUCLID, 0.3), near, 40, 0.006)
+    assert drift.status == "non_closing" and drift.steps == 40
+    loose = build_polygon(EUCLID, natural_param(EUCLID, 0.3), near, 40, 0.01)
+    assert loose.status == "closed" and (loose.n, loose.k) == (5, 1)
 
 
 def test_square_axis_polygon():

@@ -12,11 +12,12 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _ab_interleave(other, workload, requests):
+def _ab_interleave(other, workload, requests, root=ROOT):
+    """Run the tool of the tree at `root` (side A) against the tree `other` (side B)."""
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "ab_interleave.py"), "--other", other,
+        [sys.executable, os.path.join(root, "tools", "ab_interleave.py"), "--other", other,
          "--workload", workload, "--seed", "1", "--requests", str(requests)],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
+        cwd=root, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert (result["workload"], result["seed"], result["requests"]) == (workload, 1, requests)
@@ -76,6 +77,35 @@ def test_ab_interleave_says_where_its_largest_move_is(tmp_path):
     assert result["max_move"] == pytest.approx(1e-6, rel=1e-6)
     assert result["max_move_at"] == "report.worst_theta"
     assert "largest number move 1e-06 at report.worst_theta" in stdout
+
+
+def _tree_whose_main_writes_to_stderr(root, line):
+    """A copy of the program, the benchmark and the tools whose `cli.main` first
+    writes `line` to stderr."""
+    for part in ("src", "tools", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(root, part),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    path = os.path.join(root, "src", "rho_planes", "cli.py")
+    with open(path) as fh:
+        text = fh.read()
+    head = "    parser = _build_parser()\n    try:\n"
+    assert text.count(head) == 1
+    with open(path, "w") as fh:
+        fh.write(text.replace(head, f"    sys.stderr.write({line!r})\n" + head))
+    return str(root)
+
+
+def test_ab_interleave_compares_stderr(tmp_path):
+    """Two trees that differ only in a number their `main` writes to stderr differ
+    on every request, and the move is named as on stderr."""
+    a = _tree_whose_main_writes_to_stderr(tmp_path / "a", "note 1\n")
+    b = _tree_whose_main_writes_to_stderr(tmp_path / "b", "note 2\n")
+    stdout, result = _ab_interleave(b, "check_grid", 4, root=a)
+    assert result["differ"] == 4 and result["first_differ"]["index"] == 0
+    assert (result["max_move"], result["max_move_at"], result["text_differ"]) == (
+        1.0, "stderr", 0)
+    assert result["a"]["failed"] == 0 and result["b"]["failed"] == 0
+    assert "largest number move 1 at stderr" in stdout
 
 
 def test_ab_interleave_names_a_csv_column_or_the_output(monkeypatch):

@@ -10,16 +10,16 @@ on both sides, alternating which side goes first on each request, so a
 slow or fast phase of the host falls on both alike.  Each side keeps its
 own `oracles.Memo`.  Prints each side's summed latency, requests/s, p50
 and failures, how many requests' exit code, stdout, written file, library
-value (by repr) or raised error differ between the sides, the index and
-argv of the first that differs, and the gain of A over B; the last line
-is one JSON object, with `first_differ` null when no request differs.
-Over the requests that differ it also reports `max_move`, the largest
-absolute difference between corresponding numbers of the two outputs;
-`max_move_at`, where that move is (the key path in a JSON output, such
-as `report.worst_theta`, the column header in a CSV one, and otherwise
-`code`, `stdout`, `file`, `value` or `error`); and `text_differ`, how
-many of them differ in more than their numbers (the text with each
-number blanked out).
+value (by repr), raised error or stderr differ between the sides, the
+index and argv of the first that differs, and the gain of A over B; the
+last line is one JSON object, with `first_differ` null when no request
+differs.  Over the requests that differ it also reports `max_move`, the
+largest absolute difference between corresponding numbers of the two
+outputs; `max_move_at`, where that move is (the key path in a JSON output,
+such as `report.worst_theta`, the column header in a CSV one, and
+otherwise `code`, `stdout`, `file`, `value`, `error` or `stderr`); and
+`text_differ`, how many of them differ in more than their numbers (the
+text with each number blanked out).
 `RHO_PLANES_SEED` is set to 1, as for golden files, so no output carries
 a timestamp.  Nothing under `perfbench/` changes.
 
@@ -69,11 +69,12 @@ def _summary(latencies, failures) -> dict:
             "failed": len(failures)}
 
 
-OUTPUTS = ("code", "stdout", "file", "value", "error")
+OUTPUTS = ("code", "stdout", "file", "value", "error", "stderr")
 
 
 def _output(outcome) -> tuple:
-    return outcome.code, outcome.stdout, outcome.written, repr(outcome.value), outcome.error
+    return (outcome.code, outcome.stdout, outcome.written, repr(outcome.value), outcome.error,
+            outcome.stderr)
 
 
 def _leaves(text: str, name: str) -> list[tuple[str, str]]:
@@ -176,9 +177,9 @@ def main(argv=None) -> int:
             print(f"  FAILED {line}", file=sys.stderr)
     result["gain"] = result["a"]["requests_per_s"] / result["b"]["requests_per_s"] - 1.0
     at = "" if max_move_at is None else f" at {max_move_at}"
-    print(f"{differ} of {len(reqs)} requests differ in exit code, stdout, file, value or error "
-          f"({text_differ} in more than numbers, largest number move {max_move:.3g}{at}); "
-          f"A over B: {100.0 * result['gain']:+.1f}% requests/s")
+    print(f"{differ} of {len(reqs)} requests differ in exit code, stdout, file, value, error "
+          f"or stderr ({text_differ} in more than numbers, largest number move "
+          f"{max_move:.3g}{at}); A over B: {100.0 * result['gain']:+.1f}% requests/s")
     if first_differ is not None:
         print(f"first differing request: {first_differ['index']} "
               f"({' '.join(first_differ['argv']) or first_differ['kind']})")
