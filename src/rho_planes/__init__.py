@@ -19,7 +19,7 @@ from .areas import SectorArea, cap_area, sector_area, total_ball_area
 from .lab import (EvenProbeRecord, PartitionSuiteReport, PropertyReport,
                   SectorPartition, check_midpoint_property, even_probe,
                   frame_identities, sector_partition_suite, sweep,
-                  sweep_to_csv, sweep_to_json)
+                  sweep_to_csv)
 
 __version__ = "0.1.0"
 

@@ -6,7 +6,8 @@ flag names with `_` for `-`, and each entry is parsed as that flag, with
 the flag's type and choices; a key that names no flag of the command is a
 usage error.  A flag may be given once; only sweep's --spec repeats.
 `--format` exists only on polygon (json, svg) and sweep (json, csv).
-The effective config is embedded in every output.  Exit codes: 0
+A flag that is not given takes the default of the library function it
+feeds.  The effective config is embedded in every output.  Exit codes: 0
 success, 1 property failure on an inner-product family, 2 usage error
 (also a value outside an operation's domain, an unreadable input or an
 unwritable output), 3 numerical error (also when every seed of a check
@@ -28,12 +29,11 @@ from .errors import (ConfigurationError, DomainError, GeometryError,
                      NonClosingError, NumericalError, RhoPlanesError)
 from .norms import NormSpec, natural_param
 from .chords import star_map
-from .polygons import (DEFAULT_CLOSE_TOL, DEFAULT_MAX_STEPS, STATUS_CLOSED,
-                       STATUS_NON_CLOSING, build_polygon, polygon_to_dict, rho_from_kn)
+from .polygons import (STATUS_CLOSED, STATUS_NON_CLOSING, build_polygon, polygon_to_dict,
+                       rho_from_kn)
 from .conics import fit_rho_ellipse
-from .areas import DEFAULT_SAMPLES, sector_area
-from .lab import (DEFAULT_CHECK_SAMPLES, DEFAULT_CHECK_TOL, check_midpoint_property,
-                  even_probe, sweep, sweep_to_csv, sweep_to_json)
+from .areas import sector_area
+from .lab import check_midpoint_property, even_probe, sweep, sweep_to_csv
 from . import svg as svgmod
 
 EXIT_OK = 0
@@ -41,6 +41,8 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
+
+SEED_THETA = 0.0  # the seed angle when --seed is not given
 
 
 class UsageError(RhoPlanesError):
@@ -65,69 +67,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# argparse keywords of each flag; every flag defaults to None, so an unset one
+# stays out of the config and the library call, which then takes its own default
+_FLAGS = {
+    "--spec": {"help": "norm spec string"},
+    "--config": {"help": "JSON config file; flags win"},
+    "--out": {"help": "output path (default stdout)"},
+    "--rho": {"type": float},
+    "--kn": {"help": "k,n resolved to a closure ratio"},
+    "--rhos": {"help": "comma-separated rho list"},
+    "--seed": {"type": float, "help": "seed angle"},
+    "--alpha": {"type": float},
+    "--beta": {"type": float},
+    "--samples": {"type": int},
+    "--tol": {"type": float},
+    "--max-steps": {"type": int},
+    "--close-tol": {"type": float},
+    "--show-ellipse": {"action": "store_true"},
+    "--from-json": {"help": "re-render a polygon JSON record"},
+}
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="rho-planes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, specs="one"):
-        if specs == "one":
-            p.add_argument("--spec", default=None, help="norm spec string")
-        else:
+    for command, (_, help_text, flags, formats) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "sweep":
             p.add_argument("--spec", action="append", default=None,
                            help="norm spec string (repeatable)")
-        p.add_argument("--config", default=None, help="JSON config file; flags win")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    p = sub.add_parser("check", help="midpoint-support property check")
-    common(p)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--kn", default=None, help="k,n resolved to a closure ratio")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-
-    p = sub.add_parser("polygon", help="build a star-map orbit")
-    common(p)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--kn", default=None)
-    p.add_argument("--seed", type=float, default=None, help="seed angle")
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--close-tol", type=float, default=None)
-    p.add_argument("--format", default=None, choices=("json", "svg"))
-
-    p = sub.add_parser("ellipse", help="fit the supporting conic at a seed")
-    common(p)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--kn", default=None)
-    p.add_argument("--seed", type=float, default=None)
-
-    p = sub.add_parser("area", help="sector area between two angles")
-    common(p)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-
-    p = sub.add_parser("sweep", help="check a grid of specs and rhos")
-    common(p, specs="many")
-    p.add_argument("--rhos", default=None, help="comma-separated rho list")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--format", default=None, choices=("json", "csv"))
-
-    p = sub.add_parser("probe-even", help="evidence probe for even vertex counts")
-    common(p)
-    p.add_argument("--kn", default=None, required=False)
-    p.add_argument("--seed", type=float, default=None)
-
-    p = sub.add_parser("render", help="render circle/orbit/conic layers as SVG")
-    common(p)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--kn", default=None)
-    p.add_argument("--seed", type=float, default=None)
-    p.add_argument("--show-ellipse", action="store_true", default=None)
-    p.add_argument("--from-json", default=None,
-                   help="re-render a polygon JSON record")
+        else:
+            p.add_argument("--spec", default=None, **_FLAGS["--spec"])
+        for flag in ("--config", "--out") + flags:
+            p.add_argument(flag, default=None, **_FLAGS[flag])
+        if formats:
+            p.add_argument("--format", default=None, choices=formats)
     return parser
 
 
@@ -167,14 +143,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
             if key != "config" and value is not None}
 
 
-_DEFAULTS = {
-    "samples": DEFAULT_CHECK_SAMPLES,
-    "area_samples": DEFAULT_SAMPLES,
-    "tol": DEFAULT_CHECK_TOL,
-    "seed": 0.0,
-    "max_steps": DEFAULT_MAX_STEPS,
-    "close_tol": DEFAULT_CLOSE_TOL,
-}
+def _given(conf: dict, *keys: str) -> dict:
+    """The entries of conf among keys, as keyword arguments: a flag that was not
+    given is left out, so the library function supplies its own default."""
+    return {key: conf[key] for key in keys if key in conf}
 
 
 def _parse_kn(kn) -> tuple[int, int]:
@@ -200,14 +172,6 @@ def _resolve_rho(conf: dict) -> float:
         raise UsageError(f"rho must lie strictly in (0, 1), got {rho}")
     conf["rho"] = rho
     return rho
-
-
-def _tolerance(conf: dict, key: str) -> float:
-    """A tolerance from the flags or config: a finite real >= 0, else a usage error."""
-    tol = conf.get(key, _DEFAULTS[key])
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise UsageError(f"--{key.replace('_', '-')} must be a finite real >= 0, got {tol!r}")
-    return tol
 
 
 def _parse_spec(conf: dict) -> NormSpec:
@@ -252,9 +216,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_check(conf: dict) -> tuple[str, int]:
     spec = _parse_spec(conf)
     rho = _resolve_rho(conf)
-    samples = conf.get("samples", _DEFAULTS["samples"])
-    tol = _tolerance(conf, "tol")
-    report = check_midpoint_property(spec, rho, samples, tol)
+    report = check_midpoint_property(spec, rho, **_given(conf, "samples", "tol"))
     code = EXIT_PROPERTY_FAILURE if not report.passed and spec.is_ips_family else EXIT_OK
     return _json_doc({"report": report.to_dict()}, conf), code
 
@@ -268,16 +230,12 @@ def _cmd_sweep(conf: dict) -> tuple[str, int]:
         rhos = [float(t) for t in rhos_raw.split(",")]
     except ValueError:
         raise UsageError(f"--rhos expects comma-separated reals, got {rhos_raw!r}")
-    if not all(0.0 < r < 1.0 for r in rhos):
-        raise UsageError(f"--rhos entries must lie strictly in (0, 1), got {rhos_raw!r}")
-    samples = conf.get("samples", _DEFAULTS["samples"])
-    tol = _tolerance(conf, "tol")
-    reports = sweep(specs, rhos, samples, tol)
+    reports = sweep(specs, rhos, **_given(conf, "samples", "tol"))
     fmt = conf.get("format") or ("csv" if str(conf.get("out", "")).endswith(".csv") else "json")
     if fmt == "csv":
         text = sweep_to_csv(reports, comment="config: " + _config_blob(conf))
     else:
-        text = sweep_to_json(reports, config=conf)
+        text = _json_doc({"reports": [r.to_dict() for r in reports]}, conf)
     failed = {r.spec_id for r in reports if not r.passed}
     ips_failed = any(spec.is_ips_family and spec.spec_id in failed for spec in specs)
     return text, EXIT_PROPERTY_FAILURE if ips_failed else EXIT_OK
@@ -286,10 +244,8 @@ def _cmd_sweep(conf: dict) -> tuple[str, int]:
 def _cmd_polygon(conf: dict) -> tuple[str, int]:
     spec = _parse_spec(conf)
     rho = _resolve_rho(conf)
-    seed = conf.get("seed", _DEFAULTS["seed"])
-    max_steps = conf.get("max_steps", _DEFAULTS["max_steps"])
-    close_tol = _tolerance(conf, "close_tol")
-    poly = build_polygon(spec, natural_param(spec, seed), rho, max_steps, close_tol)
+    seed = natural_param(spec, conf.get("seed", SEED_THETA))
+    poly = build_polygon(spec, seed, rho, **_given(conf, "max_steps", "close_tol"))
     fmt = conf.get("format") or ("svg" if str(conf.get("out", "")).endswith(".svg") else "json")
     if fmt == "svg":
         text = svgmod.render_svg(spec, rho, _config_blob(conf),
@@ -302,7 +258,7 @@ def _cmd_polygon(conf: dict) -> tuple[str, int]:
 
 def _supporting_conic(spec, rho, conf):
     """u at the seed angle, u*, w = (u + u*)/(2*rho) and the conic through them."""
-    u = natural_param(spec, conf.get("seed", _DEFAULTS["seed"]))
+    u = natural_param(spec, conf.get("seed", SEED_THETA))
     u_star = star_map(spec, u, rho)
     w = ((u.x + u_star.x) / (2 * rho), (u.y + u_star.y) / (2 * rho))
     return u, u_star, w, fit_rho_ellipse(u, u_star, rho)
@@ -321,8 +277,7 @@ def _cmd_area(conf: dict) -> tuple[str, int]:
     spec = _parse_spec(conf)
     if conf.get("alpha") is None or conf.get("beta") is None:
         raise UsageError("area needs --alpha and --beta")
-    samples = conf.get("samples", _DEFAULTS["area_samples"])
-    sec = sector_area(spec, conf["alpha"], conf["beta"], samples)
+    sec = sector_area(spec, conf["alpha"], conf["beta"], **_given(conf, "samples"))
     return _json_doc({"sector": dataclasses.asdict(sec)}, conf), EXIT_OK
 
 
@@ -332,12 +287,12 @@ def _cmd_probe_even(conf: dict) -> tuple[str, int]:
     if not kn:
         raise UsageError("probe-even needs --kn k,n with even n")
     k, n = _parse_kn(kn)
-    record = even_probe(spec, k, n, conf.get("seed", _DEFAULTS["seed"]))
+    record = even_probe(spec, k, n, conf.get("seed", SEED_THETA))
     return _json_doc({"even_probe": dataclasses.asdict(record)}, conf), EXIT_OK
 
 
 def _cmd_render(conf: dict) -> tuple[str, int]:
-    seed = conf.get("seed", _DEFAULTS["seed"])
+    seed = conf.get("seed", SEED_THETA)
     if not math.isfinite(seed):  # written to the SVG's config comment even when unused
         raise UsageError(f"--seed must be finite, got {seed!r}")
     from_json = conf.get("from_json")
@@ -370,14 +325,22 @@ def _cmd_render(conf: dict) -> tuple[str, int]:
     return svgmod.render_svg(spec, rho, _config_blob(conf), conic=conic, marks=marks), EXIT_OK
 
 
+# command: (handler, help, flags beyond --spec/--config/--out, --format choices)
 _COMMANDS = {
-    "check": _cmd_check,
-    "sweep": _cmd_sweep,
-    "polygon": _cmd_polygon,
-    "ellipse": _cmd_ellipse,
-    "area": _cmd_area,
-    "probe-even": _cmd_probe_even,
-    "render": _cmd_render,
+    "check": (_cmd_check, "midpoint-support property check",
+              ("--rho", "--kn", "--samples", "--tol"), ()),
+    "polygon": (_cmd_polygon, "build a star-map orbit",
+                ("--rho", "--kn", "--seed", "--max-steps", "--close-tol"), ("json", "svg")),
+    "ellipse": (_cmd_ellipse, "fit the supporting conic at a seed",
+                ("--rho", "--kn", "--seed"), ()),
+    "area": (_cmd_area, "sector area between two angles",
+             ("--alpha", "--beta", "--samples"), ()),
+    "sweep": (_cmd_sweep, "check a grid of specs and rhos",
+              ("--rhos", "--samples", "--tol"), ("json", "csv")),
+    "probe-even": (_cmd_probe_even, "evidence probe for even vertex counts",
+                   ("--kn", "--seed"), ()),
+    "render": (_cmd_render, "render circle/orbit/conic layers as SVG",
+               ("--rho", "--kn", "--seed", "--show-ellipse", "--from-json"), ()),
 }
 
 
@@ -392,7 +355,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         conf = _merge_config(args)
         conf["command"] = args.command
-        text, code = _COMMANDS[args.command](conf)
+        text, code = _COMMANDS[args.command][0](conf)
         _emit(text, conf.get("out"))
         return code
     except (UsageError, ConfigurationError, DomainError) as exc:

@@ -10,7 +10,6 @@ deviations rather than bare booleans so near-misses stay visible.
 import csv
 import functools
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -136,6 +135,8 @@ def _check_cells(spec, rhos, samples, tol) -> list[PropertyReport]:
     """
     if not 8 <= samples <= MAX_CHECK_SAMPLES:
         raise DomainError(f"samples must lie in [8, {MAX_CHECK_SAMPLES}], got {samples}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tol must be a finite real >= 0, got {tol!r}")
     thetas = _seed_grid(samples)
     n = len(thetas)
     per_map = max(1, MAX_CHECK_SAMPLES // n)  # no star map holds more seeds than one check may
@@ -342,9 +343,3 @@ def sweep_to_csv(reports: list[PropertyReport], comment: str | None = None) -> s
                          "true" if r.passed else "false"])
     return out.getvalue()
 
-
-def sweep_to_json(reports: list[PropertyReport], config: dict | None = None) -> str:
-    doc = {"reports": [r.to_dict() for r in reports]}
-    if config is not None:
-        doc["config"] = config
-    return json.dumps(doc, sort_keys=True, check_circular=False, allow_nan=False) + "\n"

@@ -81,6 +81,8 @@ def build_polygon(spec: NormSpec, u, rho: float, max_steps: int = DEFAULT_MAX_ST
         raise DomainError(f"max_steps must be >= 3, got {max_steps}")
     if max_steps > MAX_STEPS:
         raise DomainError(f"max_steps must be <= {MAX_STEPS}, got {max_steps}")
+    if not (math.isfinite(close_tol) and close_tol >= 0.0):
+        raise DomainError(f"close_tol must be a finite real >= 0, got {close_tol!r}")
     seed = as_unit_point(spec, u)
     verts = [seed]
     turning = 0.0

@@ -1,5 +1,6 @@
 """CLI behavior: dispatch, exit codes, determinism, round-trips."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -7,8 +8,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from rho_planes import (NormSpec, RhoPlanesError, build_polygon, even_probe,
-                        rho_from_kn, sector_area, sweep)
+from rho_planes import (NormSpec, RhoPlanesError, build_polygon, check_midpoint_property,
+                        even_probe, rho_from_kn, sector_area, sweep)
 from rho_planes import cli
 from rho_planes.cli import _build_parser, main
 
@@ -290,10 +291,11 @@ def test_config_file_merging(tmp_path, capsys):
 
 def test_timestamp_present_without_env(monkeypatch, capsys):
     monkeypatch.delenv("RHO_PLANES_SEED", raising=False)
-    code, out, _ = run(["check", "--spec", "euclid", "--rho", "0.5",
-                        "--samples", "32"], capsys)
-    assert code == 0
-    assert "generated_at" in json.loads(out)
+    for argv in (["check", "--spec", "euclid", "--rho", "0.5", "--samples", "32"],
+                 ["sweep", "--spec", "euclid", "--rhos", "0.5", "--samples", "32"]):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert "generated_at" in json.loads(out), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -344,6 +346,31 @@ def test_reused_parser_carries_no_values_between_calls(tmp_path, capsys):
     assert set(json.loads(in_sequence[4][1])["config"]) == {"command", "spec", "kn", "rho"}
 
 
+def test_each_command_takes_its_own_flags():
+    """The option strings of every command, in order, with --format's choices."""
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    flags = {}
+    for name, sub in commands.items():
+        flags[name] = " ".join(
+            f"{a.option_strings[0]}={'|'.join(a.choices)}" if a.choices else a.option_strings[0]
+            for a in sub._actions if a.option_strings[0] != "-h")
+    assert flags == {
+        "check": "--spec --config --out --rho --kn --samples --tol",
+        "polygon": "--spec --config --out --rho --kn --seed --max-steps --close-tol "
+                   "--format=json|svg",
+        "ellipse": "--spec --config --out --rho --kn --seed",
+        "area": "--spec --config --out --alpha --beta --samples",
+        "sweep": "--spec --config --out --rhos --samples --tol --format=json|csv",
+        "probe-even": "--spec --config --out --kn --seed",
+        "render": "--spec --config --out --rho --kn --seed --show-ellipse --from-json",
+    }
+    # only sweep's --spec repeats; no flag has a default but None
+    for name, sub in commands.items():
+        spec = next(a for a in sub._actions if a.dest == "spec")
+        assert isinstance(spec, argparse._AppendAction) == (name == "sweep")
+        assert all(a.default is None for a in sub._actions if a.dest != "help")
+
+
 def _library_message(call):
     with pytest.raises(RhoPlanesError) as info:
         call()
@@ -363,8 +390,15 @@ def _library_message(call):
     (["probe-even", "--spec", "euclid", "--kn", "1,5"],
      lambda: even_probe(NormSpec.euclidean(), 1, 5, 0.0)),
     (["sweep", "--rhos", "0.5"], lambda: sweep([], [0.5])),
+    (["check", "--spec", "euclid", "--rho", "0.5", "--tol", "nan"],
+     lambda: check_midpoint_property(NormSpec.euclidean(), 0.5, tol=math.nan)),
+    (["polygon", "--spec", "euclid", "--kn", "1,5", "--close-tol", "inf"],
+     lambda: build_polygon(NormSpec.euclidean(), (1, 0), rho_from_kn(1, 5), close_tol=math.inf)),
+    (["sweep", "--spec", "euclid", "--rhos", "2.0,0.5"],
+     lambda: sweep([NormSpec.euclidean()], [2.0, 0.5])),
 ], ids=["check-spec", "sweep-spec", "check-kn", "probe-even-kn", "area-range",
-        "polygon-max-steps", "probe-even-odd-n", "sweep-no-spec"])
+        "polygon-max-steps", "probe-even-odd-n", "sweep-no-spec", "check-tol-nan",
+        "polygon-close-tol-inf", "sweep-rho-2"])
 def test_library_errors_reach_the_usage_record_unchanged(argv, call, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
@@ -567,10 +601,10 @@ def test_a_flag_that_does_not_repeat_may_be_given_only_once(argv, entries, tmp_p
 
 
 def test_an_unexpected_exception_exits_4_with_one_json_record(monkeypatch, capsys):
-    def broken(conf):
+    def broken(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "check", broken)
+    monkeypatch.setattr(cli, "check_midpoint_property", broken)
     code, out, err = run(["check", "--spec", "euclid", "--rho", "0.5"], capsys)
     assert code == 4
     assert out == ""
@@ -604,8 +638,12 @@ def test_a_nan_in_a_polygon_or_sweep_record_still_fails(monkeypatch, capsys):
     assert code == 4 and out == ""
     assert "not JSON compliant" in json.loads(err)["error"]["message"]
     report = sweep([NormSpec.euclidean()], [0.5], samples=16)[0]
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        cli.sweep_to_json([dataclasses.replace(report, max_midpoint_deviation=math.nan)])
+    nan_report = dataclasses.replace(report, max_midpoint_deviation=math.nan)
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: [nan_report])
+    code, out, err = run(["sweep", "--spec", "euclid", "--rhos", "0.5", "--format", "json"],
+                         capsys)
+    assert code == 4 and out == ""
+    assert "not JSON compliant" in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,9 +9,9 @@ from rho_planes import (DomainError, NonClosingError, NormSpec, NumericalError,
                         RhoPlanesError, check_midpoint_property, even_probe,
                         frame_identities, natural_param, rho_from_kn,
                         sector_partition_suite, star_map, sweep, sweep_to_csv,
-                        sweep_to_json, tangency_star)
+                        tangency_star)
 
-from rho_planes import lab
+from rho_planes import cli, lab
 from rho_planes.chords import star_map_many
 from rho_planes.lab import MAX_CHECK_SAMPLES
 
@@ -213,10 +213,18 @@ def test_even_probe_rejects_odd_n():
     lambda: sweep([EUCLID], [0.5], samples=4),
     lambda: sweep([], [0.5]),
     lambda: sweep([EUCLID], [2.0]),
+    lambda: check_midpoint_property(EUCLID, 0.5, tol=math.nan),
+    lambda: check_midpoint_property(EUCLID, 0.5, tol=math.inf),
+    lambda: check_midpoint_property(EUCLID, 0.5, tol=-1e-9),
+    lambda: sweep([EUCLID], [0.5], tol=math.nan),
+    lambda: sweep([EUCLID], [0.5], tol=math.inf),
+    lambda: sweep([EUCLID], [0.5], tol=-1e-9),
     lambda: frame_identities(EUCLID, 0.5, 1.0, 0.5),
     lambda: even_probe(EUCLID, 1, 5, 0.0),
 ], ids=["check-samples-4", "check-samples-cap+1", "sweep-samples-4", "sweep-no-spec",
-        "sweep-rho-2", "identities-empty-range", "even-probe-odd-n"])
+        "sweep-rho-2", "check-tol-nan", "check-tol-inf", "check-tol-negative",
+        "sweep-tol-nan", "sweep-tol-inf", "sweep-tol-negative",
+        "identities-empty-range", "even-probe-odd-n"])
 def test_out_of_domain_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
@@ -280,11 +288,18 @@ def test_sweep_rejects_empty():
         sweep([EUCLID], [])
 
 
-def test_sweep_serialization_deterministic():
+def test_sweep_serialization_deterministic(monkeypatch, capsys):
     result1 = sweep([EUCLID, SQUARE], [0.5], samples=32)
     result2 = sweep([EUCLID, SQUARE], [0.5], samples=32)
     assert sweep_to_csv(result1) == sweep_to_csv(result2)
-    assert sweep_to_json(result1) == sweep_to_json(result2)
+    monkeypatch.setenv("RHO_PLANES_SEED", "1")
+    argv = ["sweep", "--spec", "euclid", "--spec", SQUARE.spec_id, "--rhos", "0.5",
+            "--samples", "32", "--format", "json"]
+    outputs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
     csv_text = sweep_to_csv(result1, comment="config: {}")
     assert csv_text.startswith("# config: {}\n")
     assert csv_text.splitlines()[1] == "spec,rho,samples,max_dev,worst_theta,pass"

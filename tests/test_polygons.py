@@ -213,6 +213,10 @@ def test_build_polygon_validates_steps():
         build_polygon(EUCLID, (1, 0), 0.5, max_steps=2)
     with pytest.raises(DomainError):
         build_polygon(EUCLID, (1, 0), 0.5, max_steps=MAX_STEPS + 1)
+    # with close_tol inf a cos(pi/5) orbit "closed" as a triangle; nan and -1 ran every step
+    for close_tol in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError, match="close_tol"):
+            build_polygon(EUCLID, (1, 0), math.cos(math.pi / 5), close_tol=close_tol)
 
 
 def test_polygon_serialization_shape():

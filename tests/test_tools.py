@@ -28,6 +28,7 @@ def _assert_no_difference(workload):
     _, result = _ab_interleave(ROOT, workload, 16)
     assert result["differ"] == 0 and result["first_differ"] is None
     assert result["max_move"] == 0.0 and result["text_differ"] == 0
+    assert result["text_differ_at"] is None
     assert result["a"]["failed"] == 0 and result["b"]["failed"] == 0
 
 
@@ -97,15 +98,21 @@ def _tree_whose_main_writes_to_stderr(root, line):
 
 def test_ab_interleave_compares_stderr(tmp_path):
     """Two trees that differ only in a number their `main` writes to stderr differ
-    on every request, and the move is named as on stderr."""
+    on every request, and the move is named as on stderr; a tree whose stderr
+    differs in its text is named as differing there."""
     a = _tree_whose_main_writes_to_stderr(tmp_path / "a", "note 1\n")
     b = _tree_whose_main_writes_to_stderr(tmp_path / "b", "note 2\n")
     stdout, result = _ab_interleave(b, "check_grid", 4, root=a)
     assert result["differ"] == 4 and result["first_differ"]["index"] == 0
-    assert (result["max_move"], result["max_move_at"], result["text_differ"]) == (
-        1.0, "stderr", 0)
+    assert (result["max_move"], result["max_move_at"], result["text_differ"],
+            result["text_differ_at"]) == (1.0, "stderr", 0, None)
     assert result["a"]["failed"] == 0 and result["b"]["failed"] == 0
     assert "largest number move 1 at stderr" in stdout
+    c = _tree_whose_main_writes_to_stderr(tmp_path / "c", "other note 1\n")
+    stdout, result = _ab_interleave(c, "check_grid", 4, root=a)
+    assert (result["differ"], result["max_move"], result["max_move_at"],
+            result["text_differ"], result["text_differ_at"]) == (4, 0.0, None, 4, "stderr")
+    assert "4 in more than numbers, first in stderr" in stdout
 
 
 def test_ab_interleave_names_a_csv_column_or_the_output(monkeypatch):
@@ -118,11 +125,11 @@ def test_ab_interleave_names_a_csv_column_or_the_output(monkeypatch):
     csv_a = b"# config: {}\nspec,rho,max_dev\neuclid,0.5,1e-16\nlp:4,0.5,0.25\n"
     csv_b = csv_a.replace(b"0.25", b"0.5")
     assert ab._move((0, "", csv_a, "None", None), (0, "", csv_b, "None", None)) == (
-        0.25, "max_dev", False)
+        0.25, "max_dev", None)
     assert ab._move((0, "", None, "R(x=1.0)", None), (0, "", None, "R(x=3.0)", None)) == (
-        2.0, "value", False)
+        2.0, "value", None)
     assert ab._move((0, "a 2", None, "None", None), (0, "b 2", None, "None", None)) == (
-        0.0, None, True)
+        0.0, None, "stdout")
 
 
 def test_src_size_counts_lines_and_settable_values(tmp_path):

@@ -19,7 +19,9 @@ outputs; `max_move_at`, where that move is (the key path in a JSON output,
 such as `report.worst_theta`, the column header in a CSV one, and
 otherwise `code`, `stdout`, `file`, `value`, `error` or `stderr`); and
 `text_differ`, how many of them differ in more than their numbers (the
-text with each number blanked out).
+text with each number blanked out); and `text_differ_at`, the name of the
+first output that does so (`code`, `stdout`, `file`, `value`, `error` or
+`stderr`), null when none does.
 `RHO_PLANES_SEED` is set to 1, as for golden files, so no output carries
 a timestamp.  Nothing under `perfbench/` changes.
 
@@ -109,14 +111,15 @@ def _leaves(text: str, name: str) -> list[tuple[str, str]]:
     return [(name, text)]
 
 
-def _move(a: tuple, b: tuple) -> tuple[float, str | None, bool]:
+def _move(a: tuple, b: tuple) -> tuple[float, str | None, str | None]:
     """The largest move between corresponding numbers of two outputs, where it is
-    (None when no number moved), and whether anything but their numbers differs."""
-    move, at, text_differs = 0.0, None, False
+    (None when no number moved), and the name of the first output that differs
+    in more than its numbers (None when none does)."""
+    move, at, text_at = 0.0, None, None
     for name, x, y in zip(OUTPUTS, a, b):
         x, y = (t.decode("latin-1") if isinstance(t, bytes) else str(t) for t in (x, y))
         if NUMBER.sub("#", x) != NUMBER.sub("#", y):
-            text_differs = True
+            text_at = text_at or name
             continue
         xs, ys = _leaves(x, name), _leaves(y, name)
         if [w for w, _ in xs] != [w for w, _ in ys]:  # a number in a key moved
@@ -125,7 +128,7 @@ def _move(a: tuple, b: tuple) -> tuple[float, str | None, bool]:
             for p, q in zip(NUMBER.findall(p_text), NUMBER.findall(q_text)):
                 if abs(float(p) - float(q)) > move:
                     move, at = abs(float(p) - float(q)), where
-    return move, at, text_differs
+    return move, at, text_at
 
 
 def main(argv=None) -> int:
@@ -149,7 +152,8 @@ def main(argv=None) -> int:
         reqs = prepared[0][0]
         tallies = [loop.Tally(), loop.Tally()]
         memos = [oracles.Memo(), oracles.Memo()]
-        differ, first_differ, max_move, max_move_at, text_differ = 0, None, 0.0, None, 0
+        differ, first_differ, max_move, max_move_at = 0, None, 0.0, None
+        text_differ, text_differ_at = 0, None
         for index, req in enumerate(reqs):
             outcomes = [None, None]
             for s in ((0, 1) if index % 2 == 0 else (1, 0)):
@@ -158,16 +162,19 @@ def main(argv=None) -> int:
             outputs = [_output(outcome) for outcome in outcomes]
             if outputs[0] != outputs[1]:
                 differ += 1
-                move, at, text_differs = _move(*outputs)
+                move, at, text_at = _move(*outputs)
                 if move > max_move:
                     max_move, max_move_at = move, at
-                text_differ += text_differs
+                if text_at is not None:
+                    text_differ += 1
+                    text_differ_at = text_differ_at or text_at
                 if first_differ is None:
                     first_differ = {"index": index, "kind": req.kind, "argv": list(req.argv)}
 
     result = {"workload": args.workload, "seed": args.seed, "requests": len(reqs),
               "differ": differ, "first_differ": first_differ, "max_move": max_move,
-              "max_move_at": max_move_at, "text_differ": text_differ}
+              "max_move_at": max_move_at, "text_differ": text_differ,
+              "text_differ_at": text_differ_at}
     for name, tally in zip(("a", "b"), tallies):
         result[name] = _summary(tally.latencies, tally.failures)
         print(f"{name}: {result[name]['seconds']:.4f} s summed, "
@@ -177,8 +184,9 @@ def main(argv=None) -> int:
             print(f"  FAILED {line}", file=sys.stderr)
     result["gain"] = result["a"]["requests_per_s"] / result["b"]["requests_per_s"] - 1.0
     at = "" if max_move_at is None else f" at {max_move_at}"
+    text_at = "" if text_differ_at is None else f", first in {text_differ_at}"
     print(f"{differ} of {len(reqs)} requests differ in exit code, stdout, file, value, error "
-          f"or stderr ({text_differ} in more than numbers, largest number move "
+          f"or stderr ({text_differ} in more than numbers{text_at}, largest number move "
           f"{max_move:.3g}{at}); A over B: {100.0 * result['gain']:+.1f}% requests/s")
     if first_differ is not None:
         print(f"first differing request: {first_differ['index']} "
